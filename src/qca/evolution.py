@@ -3,10 +3,15 @@
 States live on a torus of group coordinates with one complex amplitude per
 (site, internal index).  Evolution is exact in the wave-vector picture:
 an FFT block-diagonalizes the step into one small unitary per lattice mode.
-A direct neighborhood-sum step is kept as the independent oracle.
+A SpectralPlan builds those unitaries once per (rule, torus) and raises them
+to any step count, in closed form for the Weyl and Dirac rules; packets and
+their moments can be built and read in mode space, so a run needs an inverse
+FFT only for a snapshot.  A direct neighborhood-sum step is kept as the
+independent oracle.
 """
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +24,13 @@ from .cayley import (
     voronoi_zone,
 )
 from .errors import PacketBoundaryError, ZoneLeakError
-from .pauli import maxabs
+from .pauli import dagger, maxabs
 
-_POWER_STEP_LIMIT = 64
+# A plan takes the closed-form power when ||W + W^dagger - 2cI|| stays below
+# this on every mode.
+_CLOSED_FORM_TOL = 1e-12
+_PLAN_CHUNK = 1 << 14
+_BRANCH_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,52 +106,137 @@ def _theta_axes(sizes):
     return [2.0 * np.pi * np.fft.fftfreq(n) for n in sizes]
 
 
+def _assemble_grid(descriptor, theta_axes):
+    """A(theta) = sum_h exp(-i theta.m_h) A_h on the product grid of per-axis angles.
+
+    Each neighbor's phase is a product of one-dimensional factors, and the
+    sum over neighbors is one matrix product; returns shape (*grid, s, s).
+    """
+    pres = descriptor.presentation
+    d = pres.dimension
+    shape = tuple(len(t) for t in theta_axes)
+    s = descriptor.internal_dim
+    labels = list(descriptor.rule.entries)
+    phases = np.empty((len(labels),) + shape, dtype=complex)
+    for i, label in enumerate(labels):
+        factor = np.ones((1,) * d, dtype=complex)
+        for j, m in enumerate(pres.coordinates[label]):
+            if m:
+                axis = [1] * d
+                axis[j] = shape[j]
+                factor = factor * np.exp(-1j * m * theta_axes[j]).reshape(axis)
+        phases[i] = factor
+    blocks = np.array([descriptor.rule.entries[label] for label in labels])
+    out = phases.reshape(len(labels), -1).T @ blocks.reshape(len(labels), s * s)
+    return out.reshape(shape + (s, s))
+
+
 def mode_matrices(descriptor, sizes):
     """Stacked per-mode step operators over the FFT grid, shape (*sizes, s, s)."""
-    pres = descriptor.presentation
-    thetas = _theta_axes(sizes)
-    d = pres.dimension
-    s = descriptor.internal_dim
-    out = np.zeros(tuple(sizes) + (s, s), dtype=complex)
-    for label, block in descriptor.rule.entries.items():
-        m = pres.coordinates[label]
-        phase = np.zeros(tuple(sizes))
-        for j in range(d):
-            shape = [1] * d
-            shape[j] = sizes[j]
-            phase = phase + m[j] * thetas[j].reshape(shape)
-        out += np.exp(-1j * phase)[..., None, None] * block
-    return out
+    return _assemble_grid(descriptor, _theta_axes(sizes))
+
+
+def _apply(mats, hat):
+    return np.einsum("...ab,...b->...a", mats, hat)
+
+
+class SpectralPlan:
+    """The per-mode step of one automaton on one torus, built once per run.
+
+    Each mode carries one small unitary W, stored with c = Re tr W / s and
+    sin(w) = ||W - cI||_F / sqrt(s).  When W + W^dagger = 2cI on every mode,
+    as for every Weyl and Dirac rule, W^n has the closed form
+    cos(nw) I + sin(nw)/sin(w) (W - cI) and costs the same for any n.  Any
+    other rule (tilings, user descriptors) takes batched matrix powers,
+    cached once per step count.
+    """
+
+    def __init__(self, descriptor, sizes):
+        sizes = tuple(int(n) for n in sizes)
+        if len(sizes) != descriptor.presentation.dimension:
+            raise ValueError("one size per lattice dimension required")
+        self.descriptor = descriptor
+        self.sizes = sizes
+        self.mats = mode_matrices(descriptor, sizes)
+        s = descriptor.internal_dim
+        flat = self.mats.reshape(-1, s, s)
+        cos = np.empty(len(flat))
+        sin = np.empty(len(flat))
+        defect = 0.0
+        # Chunks keep the W - cI temporaries small next to the stored stack.
+        for lo in range(0, len(flat), _PLAN_CHUNK):
+            w = flat[lo:lo + _PLAN_CHUNK]
+            c = np.trace(w, axis1=1, axis2=2).real / s
+            shifted = w - c[:, None, None] * np.eye(s)
+            cos[lo:lo + _PLAN_CHUNK] = c
+            sin[lo:lo + _PLAN_CHUNK] = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
+            defect = max(defect, maxabs(shifted + dagger(shifted)))
+        self.cos = cos.reshape(sizes)
+        self.sin = sin.reshape(sizes)
+        # atan2 rather than arccos keeps full precision where sin(w) -> 0.
+        self.omega = np.arctan2(self.sin, self.cos)
+        self.closed_form = defect <= _CLOSED_FORM_TOL
+        self._powers = {}
+
+    def _power(self, steps):
+        if steps not in self._powers:
+            if self.closed_form:
+                # sin(nw)/sin(w) tends to n c^(n-1) where sin(w) = 0 (W = +-I).
+                ratio = np.divide(
+                    np.sin(steps * self.omega), self.sin,
+                    out=steps * self.cos ** (steps - 1), where=self.sin > 0,
+                )
+                self._powers[steps] = (np.cos(steps * self.omega), ratio)
+            else:
+                self._powers[steps] = np.linalg.matrix_power(self.mats, steps)
+        return self._powers[steps]
+
+    def advance(self, hat, steps):
+        """Mode amplitudes after `steps` applications of the step."""
+        if hat.shape != self.mats.shape[:-1]:
+            raise ValueError(f"mode amplitudes {hat.shape} do not fit the plan")
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        if steps == 0:
+            return hat.copy()
+        if not self.closed_form:
+            return _apply(self._power(steps), hat)
+        cos_n, ratio = self._power(steps)
+        # cos(nw) hat + sin(nw)/sin(w) (W - cI) hat, with no stored W - cI.
+        out = _apply(self.mats, hat)
+        out -= self.cos[..., None] * hat
+        out *= ratio[..., None]
+        out += cos_n[..., None] * hat
+        return out
+
+
+def to_modes(state):
+    """Mode amplitudes fftn(psi) over the lattice axes."""
+    axes = tuple(range(state.lattice.presentation.dimension))
+    return np.fft.fftn(state.amplitudes, axes=axes)
+
+
+def from_modes(hat, lattice, time):
+    """The lattice state whose mode amplitudes are `hat`."""
+    amps = np.fft.ifftn(hat, axes=tuple(range(lattice.presentation.dimension)))
+    return FieldState(lattice=lattice, internal_dim=hat.shape[-1], amplitudes=amps,
+                      time=time)
 
 
 def step_spectral(state, descriptor, steps):
     """Evolve by `steps` applications of the global step, in the mode picture.
 
-    Small step counts use stacked matrix powers; large counts switch to a
-    per-mode eigendecomposition so cost and roundoff stay O(1) in steps.
+    fftn, then the SpectralPlan power of every per-mode operator, then ifftn;
+    for the catalog rules the cost and the roundoff do not grow with `steps`.
     """
     _check_compatible(state, descriptor)
     if steps == 0:
         return replace(state)
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    d = state.lattice.presentation.dimension
-    axes = tuple(range(d))
-    hat = np.fft.fftn(state.amplitudes, axes=axes)
-    mats = mode_matrices(descriptor, state.lattice.sizes)
-    if steps <= _POWER_STEP_LIMIT:
-        powered = np.linalg.matrix_power(mats, steps)
-        hat = np.einsum("...ab,...b->...a", powered, hat)
-    else:
-        vals, vecs = np.linalg.eig(mats)
-        # Unit-modulus projection: the per-mode operators are unitary, so
-        # only the phases may be raised to the step count safely.
-        phases = np.angle(vals)
-        coeff = np.linalg.solve(vecs, hat[..., None])[..., 0]
-        coeff = coeff * np.exp(1j * steps * phases)
-        hat = np.einsum("...ab,...b->...a", vecs, coeff)
-    out = np.fft.ifftn(hat, axes=axes)
-    return replace(state, amplitudes=out, time=state.time + steps)
+    plan = SpectralPlan(descriptor, state.lattice.sizes)
+    return from_modes(plan.advance(to_modes(state), steps), state.lattice,
+                      state.time + steps)
 
 
 @dataclass(frozen=True)
@@ -167,23 +261,32 @@ class WavePacketSpec:
             raise ValueError("sigma_k must be positive")
 
 
-def _branch_projector(matrix, branch):
-    """Spectral projector onto the negative- or positive-eigenphase subspace."""
-    vals, vecs = np.linalg.eig(matrix)
+def _branch_projectors(mats, branch):
+    """Spectral projectors V diag(want) V^-1 onto the branch of stacked matrices.
+
+    "plus" keeps the eigenphases <= 0 and "minus" the positive ones.  A matrix
+    keeps its whole space when no eigenvalue is on the wanted side, or when a
+    wanted and an unwanted eigenvalue lie within _BRANCH_GAP: that is one
+    degenerate eigenvalue split by roundoff (a band-touching mode, W = +-I),
+    where no branch is defined.
+    """
+    vals, vecs = np.linalg.eig(mats)
     phases = np.angle(vals)
     want = phases <= 0 if branch == "plus" else phases > 0
-    if not np.any(want):
-        want = ~want
-    cols = vecs[:, want]
-    q, _ = np.linalg.qr(cols)
-    return q @ q.conj().T
+    gaps = np.abs(vals[..., :, None] - vals[..., None, :])
+    split = want[..., :, None] & ~want[..., None, :] & (gaps < _BRANCH_GAP)
+    whole = np.all(want, axis=-1) | ~np.any(want, axis=-1) | np.any(split, axis=(-2, -1))
+    out = (vecs * want[..., None, :]) @ np.linalg.inv(vecs)
+    out[whole] = np.eye(mats.shape[-1])
+    return out
 
 
-def make_packet(spec, descriptor, lattice):
+def make_packet(spec, descriptor, lattice, plan=None):
     """Gaussian envelope times the branch eigenvector, localized at center_x.
 
     The envelope is checked to be below 1e-12 at the aliasing seam of the
-    mode grid (the band edge); wider packets raise ZoneLeakError.
+    mode grid (the band edge); wider packets raise ZoneLeakError.  The
+    per-mode operators come from `plan`, which is built when omitted.
     """
     if lattice.presentation != descriptor.presentation:
         raise ValueError("lattice and descriptor use different presentations")
@@ -195,21 +298,10 @@ def make_packet(spec, descriptor, lattice):
     theta0 = pres.theta_of(k0)
     thetas = _theta_axes(sizes)
 
-    wrapped = []
-    for j in range(d):
-        w = np.mod(thetas[j] - theta0[j] + np.pi, 2.0 * np.pi) - np.pi
-        wrapped.append(w)
+    wrapped = [np.mod(t - t0 + np.pi, 2.0 * np.pi) - np.pi for t, t0 in zip(thetas, theta0)]
     # Cartesian offset of every mode from the packet center.
-    dk2 = np.zeros(tuple(sizes))
-    dual = pres.dual_matrix
-    for i in range(d):
-        comp = np.zeros(tuple(sizes))
-        for j in range(d):
-            shape = [1] * d
-            shape[j] = sizes[j]
-            comp = comp + dual[i, j] * wrapped[j].reshape(shape)
-        dk2 = dk2 + comp * comp
-    envelope = np.exp(-dk2 / (4.0 * spec.sigma_k ** 2))
+    dk = np.stack(np.meshgrid(*wrapped, indexing="ij"), axis=-1) @ pres.dual_matrix.T
+    envelope = np.exp(-np.sum(dk * dk, axis=-1) / (4.0 * spec.sigma_k ** 2))
 
     for j in range(d):
         seam = int(np.argmin(np.cos(thetas[j] - theta0[j])))
@@ -220,81 +312,118 @@ def make_packet(spec, descriptor, lattice):
                 f"sigma_k={spec.sigma_k} leaks past the mode-grid seam on axis {j}"
             )
 
-    mats = mode_matrices(descriptor, sizes)
-    ref_proj = _branch_projector(np.asarray(
-        sum(np.exp(-1j * float(theta0 @ np.asarray(pres.coordinates[lab], dtype=float))) * blk
-            for lab, blk in descriptor.rule.entries.items())
-    ), spec.branch)
-    ref = ref_proj[:, int(np.argmax(np.linalg.norm(ref_proj, axis=0)))]
+    if plan is None:
+        plan = SpectralPlan(descriptor, sizes)
+    elif plan.descriptor is not descriptor or plan.sizes != tuple(sizes):
+        raise ValueError("the plan was built for another descriptor or lattice")
+
+    # One eig call: the reference operator A(theta0) heads the stack of the
+    # significant modes.
+    significant = envelope > 1e-14
+    reference = _assemble_grid(descriptor, [np.array([t]) for t in theta0])
+    projectors = _branch_projectors(
+        np.concatenate([reference.reshape(1, s, s), plan.mats[significant]]), spec.branch
+    )
+    ref_proj = projectors[0]
+    # The first column of (nearly) largest norm: symmetric rules tie exactly,
+    # and roundoff must not pick the reference.
+    norms = np.linalg.norm(ref_proj, axis=0)
+    ref = ref_proj[:, int(np.argmax(norms >= (1.0 - 1e-9) * np.max(norms)))]
     ref = ref / np.linalg.norm(ref)
 
-    hat = np.zeros(tuple(sizes) + (s,), dtype=complex)
-    significant = np.argwhere(envelope > 1e-14)
+    vecs = projectors[1:] @ ref
+    nv = np.linalg.norm(vecs, axis=-1)
+    index = np.nonzero(significant)
     x0 = np.asarray(spec.center_x, dtype=float)
-    for idx in significant:
-        idx = tuple(idx)
-        proj = _branch_projector(mats[idx], spec.branch)
-        vec = proj @ ref
-        nv = np.linalg.norm(vec)
-        if nv < 1e-12:
-            continue  # branch subspace orthogonal to the reference: tail mode
-        theta = np.array([thetas[j][idx[j]] for j in range(d)])
-        hat[idx] = envelope[idx] * np.exp(-1j * float(theta @ x0)) * (vec / nv)
+    theta_x0 = sum(thetas[j][index[j]] * x0[j] for j in range(d))
+    # A branch subspace orthogonal to the reference is a tail mode: left empty.
+    weight = np.divide(
+        envelope[significant] * np.exp(-1j * theta_x0), nv,
+        out=np.zeros(len(nv), dtype=complex), where=nv >= 1e-12,
+    )
+    hat = np.zeros(tuple(sizes) + (s,), dtype=complex)
+    hat[significant] = weight[:, None] * vecs
 
-    amps = np.fft.ifftn(hat, axes=tuple(range(d)))
-    amps = amps / np.linalg.norm(amps)
-    return FieldState(lattice=lattice, internal_dim=s, amplitudes=amps, time=0)
+    state = from_modes(hat, lattice, 0)
+    return replace(state, amplitudes=state.amplitudes / state.norm())
 
 
-def _circular_means(state):
-    """Per-coordinate circular mean and resultant length of |psi|^2."""
+class Moments(NamedTuple):
+    """Norm of a state and, per axis, the circular mean (group coordinates)
+    and resultant length of |psi|^2."""
+
+    norm: float
+    means: np.ndarray
+    resultants: np.ndarray
+
+
+def _moments(z, total, sizes):
+    z = np.asarray(z) / total
+    means = (np.angle(z) % (2.0 * np.pi)) * np.asarray(sizes) / (2.0 * np.pi)
+    return Moments(float(np.sqrt(total)), means, np.abs(z))
+
+
+def _lattice_moments(state):
+    """Moments of |psi|^2 from the lattice amplitudes."""
     d = state.lattice.presentation.dimension
     sizes = state.lattice.sizes
     weights = np.sum(np.abs(state.amplitudes) ** 2, axis=-1)
-    total = float(np.sum(weights))
-    means, resultants = [], []
+    z = []
     for j in range(d):
         angles = 2.0 * np.pi * np.arange(sizes[j]) / sizes[j]
         other = tuple(ax for ax in range(d) if ax != j)
-        w = np.sum(weights, axis=other)
-        z = np.sum(w * np.exp(1j * angles)) / total
-        means.append((np.angle(z) % (2.0 * np.pi)) * sizes[j] / (2.0 * np.pi))
-        resultants.append(abs(z))
-    return np.array(means), np.array(resultants)
+        z.append(np.sum(np.sum(weights, axis=other) * np.exp(1j * angles)))
+    return _moments(z, float(np.sum(weights)), sizes)
+
+
+def mode_moments(hat):
+    """Moments of |psi|^2 read off the mode amplitudes, with no inverse FFT.
+
+    With numpy's fftn sign convention, sum_x |psi(x)|^2 exp(2 pi i x_j / n_j)
+    = sum_k psi_hat(k)^dagger psi_hat(k - e_j) / N.
+    """
+    sizes = hat.shape[:-1]
+    count = int(np.prod(sizes))
+    z = [np.vdot(hat, np.roll(hat, 1, axis=j)) / count for j in range(len(sizes))]
+    return _moments(z, np.vdot(hat, hat).real / count, sizes)
 
 
 def mean_position(state):
     """Amplitude-weighted circular mean position, in group and Cartesian coords."""
-    means, _ = _circular_means(state)
+    means = _lattice_moments(state).means
     cart = state.lattice.presentation.basis_matrix @ means
     return means, cart
 
 
-def _check_seam_clearance(state):
-    d = state.lattice.presentation.dimension
-    sizes = state.lattice.sizes
-    means, resultants = _circular_means(state)
-    for j in range(d):
-        r = min(max(resultants[j], 1e-300), 1.0)
+def _seam_checked_means(moments, sizes):
+    for j, resultant in enumerate(moments.resultants):
+        r = min(max(resultant, 1e-300), 1.0)
         circ_std = np.sqrt(max(-2.0 * np.log(r), 0.0)) * sizes[j] / (2.0 * np.pi)
         if 3.0 * circ_std >= sizes[j] / 2.0:
             raise PacketBoundaryError(
                 f"packet mass within 3 sigma of the wrap seam on axis {j}"
             )
-    return means
+    return moments.means
+
+
+def packet_velocity(before, after, lattice, steps):
+    """Cartesian displacement per step of the circular mean between two Moments."""
+    if steps <= 0:
+        raise ValueError("steps must be positive")
+    m0 = _seam_checked_means(before, lattice.sizes)
+    m1 = _seam_checked_means(after, lattice.sizes)
+    sizes = np.asarray(lattice.sizes, dtype=float)
+    delta = np.mod(m1 - m0 + sizes / 2.0, sizes) - sizes / 2.0
+    return lattice.presentation.basis_matrix @ (delta / steps)
 
 
 def measure_packet_velocity(before, after, steps):
     """Cartesian displacement of the circular mean position per step."""
     if before.lattice != after.lattice:
         raise ValueError("states live on different lattices")
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    m0 = _check_seam_clearance(before)
-    m1 = _check_seam_clearance(after)
-    sizes = np.asarray(before.lattice.sizes, dtype=float)
-    delta = np.mod(m1 - m0 + sizes / 2.0, sizes) - sizes / 2.0
-    return before.lattice.presentation.basis_matrix @ (delta / steps)
+    return packet_velocity(
+        _lattice_moments(before), _lattice_moments(after), before.lattice, steps
+    )
 
 
 def coarse_presentation(tiling):
@@ -431,14 +560,3 @@ def apply_tiling(state, tiling):
         lattice=coarse_lattice, internal_dim=s * r, amplitudes=out, time=state.time
     )
 
-
-def norm_drift(state):
-    return abs(state.norm() - 1.0)
-
-
-def unitarity_residual_of_step(descriptor, sizes):
-    """Worst per-mode unitarity defect over the FFT grid (diagnostic)."""
-    mats = mode_matrices(descriptor, sizes)
-    s = descriptor.internal_dim
-    prod = np.einsum("...ba,...bc->...ac", mats.conj(), mats)
-    return maxabs(prod - np.eye(s))

@@ -26,9 +26,16 @@ def _format_float(x):
     return format(float(x), ".17g")
 
 
-def dumps_stable(obj, indent=0):
+# JSON string escapes: quote, backslash and every control character.
+_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)}
+_ESCAPES.update({ord(ch): esc for ch, esc in (
+    ('"', '\\"'), ("\\", "\\\\"), ("\b", "\\b"), ("\f", "\\f"),
+    ("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t"),
+)})
+
+
+def dumps_stable(obj):
     """Deterministic JSON with fixed float formatting and sorted keys."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True:
@@ -36,8 +43,7 @@ def dumps_stable(obj, indent=0):
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return '"' + obj.translate(_ESCAPES) + '"'
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -45,15 +51,15 @@ def dumps_stable(obj, indent=0):
     if isinstance(obj, (complex, np.complexfloating)):
         return f"[{_format_float(obj.real)},{_format_float(obj.imag)}]"
     if isinstance(obj, np.ndarray):
-        return dumps_stable(obj.tolist(), indent)
+        return dumps_stable(obj.tolist())
     if isinstance(obj, dict):
         items = ",".join(
-            f'{dumps_stable(str(key))}:{dumps_stable(value, indent)}'
+            f'{dumps_stable(str(key))}:{dumps_stable(value)}'
             for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_stable(v, indent) for v in obj) + "]"
+        return "[" + ",".join(dumps_stable(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

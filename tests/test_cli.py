@@ -118,6 +118,49 @@ def test_evolve_writes_snapshot_and_observables(capsys, tmp_path):
     assert header == "step,norm,x1"
 
 
+def test_evolve_at_the_seam_keeps_its_output(capsys, tmp_path):
+    # sigma_k = 0.03 on 32 sites: the packet is as wide as the torus, so the
+    # velocity is undefined but the run and its records are not.
+    snap = tmp_path / "out.qcas"
+    obs = tmp_path / "obs.csv"
+    code, out, _ = _run(
+        capsys,
+        [
+            "evolve", "--builtin", "weyl-1d", "--sizes", "32",
+            "--packet", "k0=0.7;sigma=0.03;x0=16", "--steps", "4",
+            "--snapshot", str(snap), "--observables", str(obs),
+        ],
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["velocity"] is None
+    assert "seam" in doc["velocity_error"]
+    assert abs(doc["norm"] - 1.0) < 1e-12
+    descriptor = catalog.build_descriptor("weyl-1d")
+    assert serialize.load_snapshot(snap, descriptor.presentation).time == 4
+    assert [line.split(",")[0] for line in obs.read_text().splitlines()] == [
+        "step", "1", "2", "3", "4"
+    ]
+
+
+def test_evolve_rejects_non_positive_steps(capsys):
+    code, _, err = _run(
+        capsys,
+        ["evolve", "--builtin", "weyl-1d", "--sizes", "64",
+         "--packet", "k0=0.5;sigma=0.1", "--steps", "0"],
+    )
+    assert code == 2
+    assert "--steps" in err
+
+
+def test_report_escapes_control_characters():
+    text = "a\nb\t\x01"
+    doc = serialize.report_document({"name": text, "plain": 'q"uo\\te/é'})
+    assert json.loads(doc)["name"] == text
+    for value in (text, 'q"uo\\te/é', "\x00\x1f\b\f\r"):
+        assert serialize.dumps_stable(value) == json.dumps(value, ensure_ascii=False)
+
+
 def test_maxwell_report(capsys):
     code, out, _ = _run(
         capsys, ["maxwell", "--k", "0.2,0.1,-0.3", "--time", "5", "--dt", "1e-3"]

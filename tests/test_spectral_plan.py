@@ -1,0 +1,241 @@
+"""SpectralPlan against independent oracles: step_direct, real-space moments
+and the per-mode eig + qr branch projector."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qca import catalog, evolution
+from qca.automaton import AutomatonDescriptor, TransitionRule
+from qca.cayley import make_tiling
+from qca.pauli import maxabs
+
+CHECKPOINTS = (1, 65, 10_000)
+# The closed form and step_direct each round once per step at most; 10^4
+# repeated steps accumulate about 1e-12.
+TOL = {1: 1e-12, 65: 1e-12, 10_000: 1e-11}
+
+
+def _descriptor(name, mass=None):
+    if name == "weyl-1d-x2":
+        base = catalog.build_descriptor("weyl-1d")
+        return evolution.tile_descriptor(base, make_tiling(base.presentation, ((2,),)))
+    return catalog.build_descriptor(name, mass=mass)
+
+
+def _state(descriptor, sizes, seed=0):
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    return evolution.random_state(
+        lattice, descriptor.internal_dim, np.random.default_rng(seed)
+    )
+
+
+def _direct_checkpoints(state, descriptor, checkpoints=CHECKPOINTS):
+    """Amplitudes after each checkpoint count of step_direct applications.
+
+    The step is assembled once as a sparse matrix whose columns are
+    step_direct of the unit states, so that 10^4 steps stay cheap.
+    """
+    dim = state.amplitudes.size
+    columns = []
+    for j in range(dim):
+        unit = np.zeros(dim, dtype=complex)
+        unit[j] = 1.0
+        basis_state = evolution.FieldState(
+            lattice=state.lattice, internal_dim=state.internal_dim,
+            amplitudes=unit.reshape(state.amplitudes.shape),
+        )
+        columns.append(evolution.step_direct(basis_state, descriptor).amplitudes.ravel())
+    step = scipy.sparse.csr_matrix(np.array(columns).T)
+    vec = state.amplitudes.ravel()
+    out, done = {}, 0
+    for n in sorted(checkpoints):
+        for _ in range(n - done):
+            vec = step @ vec
+        done = n
+        out[n] = vec.reshape(state.amplitudes.shape)
+    return out
+
+
+def _assert_matches_direct(state, descriptor):
+    direct = _direct_checkpoints(state, descriptor)
+    for n in CHECKPOINTS:
+        spectral = evolution.step_spectral(state, descriptor, n)
+        assert spectral.time == state.time + n
+        err = maxabs(spectral.amplitudes - direct[n])
+        assert err <= TOL[n], f"{n} steps: {err:.2e}"
+
+
+@pytest.mark.parametrize(
+    "name,mass,sizes,closed_form",
+    [
+        ("weyl-1d", None, (16,), True),
+        ("bcc-a-plus", None, (6, 6, 6), True),
+        ("dirac-1d", None, (16,), True),
+        ("dirac-3d", 0.3, (6, 6, 6), True),
+        ("weyl-1d-x2", None, (8,), False),
+    ],
+)
+def test_plan_matches_direct(name, mass, sizes, closed_form):
+    descriptor = _descriptor(name, mass)
+    plan = evolution.SpectralPlan(descriptor, sizes)
+    assert plan.closed_form is closed_form
+    _assert_matches_direct(_state(descriptor, sizes, seed=1), descriptor)
+
+
+def test_dirac_modes_are_doubly_degenerate():
+    descriptor = _descriptor("dirac-3d", 0.3)
+    plan = evolution.SpectralPlan(descriptor, (6, 6, 6))
+    phases = np.sort(np.angle(np.linalg.eigvals(plan.mats.reshape(-1, 4, 4))), axis=-1)
+    assert maxabs(phases[:, 1] - phases[:, 0]) < 1e-12
+    assert maxabs(phases[:, 3] - phases[:, 2]) < 1e-12
+    assert maxabs(phases[:, 3] - plan.omega.ravel()) < 1e-12
+
+
+def test_band_touching_mode():
+    # theta = 0 of the massless walk: W = I, sin(w) = 0 up to roundoff, and the
+    # closed form's sin(nw)/sin(w) takes its limit n c^(n-1).
+    descriptor = _descriptor("weyl-1d")
+    plan = evolution.SpectralPlan(descriptor, (16,))
+    assert plan.sin[0] < 1e-15 and abs(plan.cos[0] - 1.0) < 1e-15
+    state = _state(descriptor, (16,), seed=2)
+    flat = np.broadcast_to(state.amplitudes.mean(axis=0), state.amplitudes.shape)
+    _assert_matches_direct(replace(state, amplitudes=flat.copy()), descriptor)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_exact_limit_at_plus_minus_identity(sign):
+    descriptor = AutomatonDescriptor(
+        presentation=_descriptor("weyl-1d").presentation,
+        rule=TransitionRule(entries={"e": sign * np.eye(2, dtype=complex)},
+                            internal_dim=2),
+    )
+    plan = evolution.SpectralPlan(descriptor, (8,))
+    assert np.all(plan.sin == 0.0)
+    hat = np.random.default_rng(3).normal(size=(8, 2)) + 0j
+    for n in CHECKPOINTS:
+        assert maxabs(plan.advance(hat, n) - sign ** n * hat) == 0.0
+
+
+def _conjugated(descriptor, unitary):
+    entries = {
+        label: unitary @ block @ unitary.conj().T
+        for label, block in descriptor.rule.entries.items()
+    }
+    return AutomatonDescriptor(
+        presentation=descriptor.presentation,
+        rule=TransitionRule(entries=entries, internal_dim=descriptor.internal_dim),
+    )
+
+
+def _random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from(["weyl-1d", "dirac-1d", "weyl-2d"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_conjugated_rules_match_direct(name, seed):
+    base = _descriptor(name)
+    descriptor = _conjugated(base, _random_unitary(base.internal_dim, seed))
+    sizes = (16,) if base.presentation.dimension == 1 else (4, 4)
+    assert evolution.SpectralPlan(descriptor, sizes).closed_form
+    _assert_matches_direct(_state(descriptor, sizes, seed=seed), descriptor)
+
+
+@pytest.mark.parametrize(
+    "name,mass,sizes,k0,sigma",
+    [
+        ("weyl-1d", None, (64,), (0.5,), 0.1),
+        ("bcc-a-plus", None, (16, 16, 16), (0.3, -0.2, 0.4), 0.25),
+        ("dirac-3d", 0.4, (16, 16, 16), (0.2, 0.1, -0.3), 0.25),
+    ],
+)
+def test_mode_moments_match_real_space(name, mass, sizes, k0, sigma):
+    descriptor = _descriptor(name, mass)
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    spec = evolution.WavePacketSpec(k0, sigma, tuple(n // 3 for n in sizes), "plus")
+    packet = evolution.step_spectral(
+        evolution.make_packet(spec, descriptor, lattice), descriptor, 3
+    )
+    for state in (packet, _state(descriptor, sizes, seed=4)):
+        moments = evolution.mode_moments(evolution.to_modes(state))
+        means, _ = evolution.mean_position(state)
+        real = evolution._lattice_moments(state)
+        wrapped = np.mod(moments.means - means + np.asarray(sizes) / 2, sizes)
+        assert maxabs(wrapped - np.asarray(sizes) / 2) < 1e-12
+        assert maxabs(moments.resultants - real.resultants) < 1e-12
+        assert abs(moments.norm - state.norm()) < 1e-12
+
+
+def _qr_projector(matrix, branch):
+    """Per-mode projector as built before the batched one: eig, then qr."""
+    vals, vecs = np.linalg.eig(matrix)
+    phases = np.angle(vals)
+    want = phases <= 0 if branch == "plus" else phases > 0
+    if not np.any(want):
+        want = ~want
+    q, _ = np.linalg.qr(vecs[:, want])
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize(
+    "name,mass", [("bcc-a-plus", None), ("dirac-3d", 0.3), ("weyl-1d-x2", None)]
+)
+def test_batched_projector_matches_per_mode(name, mass, branch):
+    descriptor = _descriptor(name, mass)
+    sizes = (8,) if descriptor.presentation.dimension == 1 else (6, 6, 6)
+    plan = evolution.SpectralPlan(descriptor, sizes)
+    s = descriptor.internal_dim
+    mats = plan.mats.reshape(-1, s, s)
+    vals = np.linalg.eigvals(mats)
+    # Band-touching modes (W = +-I) have no branch; they are tested below.
+    gaps = np.abs(vals[:, :, None] - vals[:, None, :]) + np.eye(s)
+    phases = np.angle(vals)
+    split = np.any((gaps < 1e-6) & ((phases[:, :, None] > 0) != (phases[:, None, :] > 0)),
+                   axis=(1, 2))
+    batched = evolution._branch_projectors(mats[~split], branch)
+    for proj, matrix in zip(batched, mats[~split]):
+        assert maxabs(proj - _qr_projector(matrix, branch)) < 1e-12
+
+
+def test_band_touching_projector_is_whole_space():
+    # W = I up to roundoff: the eigenphases straddle 0 by ~1e-16 and the
+    # branch is undefined, so both branches keep the whole space.
+    noise = 1e-16 * np.array([[1.0, 2.0 - 1.0j], [-2.0 - 1.0j, -1.0]])
+    mats = np.stack([np.eye(2) + 1j * noise, np.eye(2) - 1j * noise])
+    for branch in ("plus", "minus"):
+        proj = evolution._branch_projectors(mats, branch)
+        assert maxabs(proj - np.eye(2)) == 0.0
+
+
+def test_make_packet_reuses_plan():
+    descriptor = _descriptor("bcc-a-plus")
+    sizes = (16, 16, 16)
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    spec = evolution.WavePacketSpec((0.3, 0.0, 0.2), 0.25, (4, 5, 6), "plus")
+    plan = evolution.SpectralPlan(descriptor, sizes)
+    with_plan = evolution.make_packet(spec, descriptor, lattice, plan=plan)
+    without = evolution.make_packet(spec, descriptor, lattice)
+    assert maxabs(with_plan.amplitudes - without.amplitudes) == 0.0
+    with pytest.raises(ValueError):
+        evolution.make_packet(
+            spec, descriptor, lattice, plan=evolution.SpectralPlan(descriptor, (8, 8, 8))
+        )
+
+
+def test_plan_rejects_mismatched_amplitudes():
+    plan = evolution.SpectralPlan(_descriptor("weyl-1d"), (16,))
+    with pytest.raises(ValueError):
+        plan.advance(np.zeros((8, 2), dtype=complex), 1)
+    with pytest.raises(ValueError):
+        plan.advance(np.zeros((16, 2), dtype=complex), -1)
