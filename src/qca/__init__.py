@@ -11,7 +11,7 @@ from .automaton import (
     AutomatonDescriptor,
     IsotropyGroup,
     TransitionRule,
-    assemble_k_operator,
+    assemble,
     check_covariance,
     check_unitarity_conditions,
     extract_transition_matrices,

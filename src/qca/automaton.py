@@ -93,38 +93,34 @@ class AutomatonDescriptor:
         return self.rule.internal_dim
 
 
-def assemble_k_operator(descriptor, k):
-    """A(k) = sum_h exp(-i k.h) A_h with h the Euclidean displacements."""
-    pres = descriptor.presentation
-    k = np.asarray(k, dtype=float)
-    s = descriptor.internal_dim
-    out = np.zeros((s, s), dtype=complex)
-    for label, block in descriptor.rule.entries.items():
-        out += np.exp(-1j * float(np.dot(k, pres.displacement_of(label)))) * block
-    return out
+def assemble(rule, presentation, theta):
+    """A(theta) = sum_h exp(-i theta.m_h) A_h at group-coordinate angles theta.
 
-
-def assemble_k_batch(descriptor, ks):
-    """Stacked A(k) for an (N, d) array of wave-vectors; returns (N, s, s)."""
-    pres = descriptor.presentation
-    ks = np.atleast_2d(np.asarray(ks, dtype=float))
-    s = descriptor.internal_dim
-    out = np.zeros((ks.shape[0], s, s), dtype=complex)
-    for label, block in descriptor.rule.entries.items():
-        phases = np.exp(-1j * ks @ pres.displacement_of(label))
-        out += phases[:, None, None] * block
-    return out
-
-
-def assemble_theta_operator(rule, presentation, theta):
-    """A as a function of group-coordinate angles theta (theta_j = k . h_j)."""
-    theta = np.asarray(theta, dtype=float)
+    theta is a length-d sequence of mutually broadcastable angle arrays
+    (theta_j = k . h_j): scalars for one point, open-mesh axes for a product
+    grid, equal-length vectors for scattered points.  Each label's phase is a
+    product of per-axis factors and the sum over labels is one matrix
+    product; returns the broadcast shape followed by (s, s).
+    """
+    if len(theta) != presentation.dimension:
+        raise ValueError(f"expected {presentation.dimension} angle arrays, got {len(theta)}")
+    shape = np.broadcast_shapes(*(np.shape(t) for t in theta))
+    # One point is a batch of one: numpy's scalar arithmetic rounds complex
+    # products differently from its array loops, which the grid uses.
+    theta = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta]
+    grid = np.broadcast_shapes(*(t.shape for t in theta))
     s = rule.internal_dim
-    out = np.zeros((s, s), dtype=complex)
-    for label, block in rule.entries.items():
-        m = np.asarray(presentation.coordinates[label], dtype=float)
-        out += np.exp(-1j * float(np.dot(theta, m))) * block
-    return out
+    labels = list(rule.entries)
+    phases = np.empty((len(labels),) + grid, dtype=complex)
+    for i, label in enumerate(labels):
+        factor = np.ones((1,) * len(grid), dtype=complex)
+        for m, t in zip(presentation.coordinates[label], theta):
+            if m:
+                factor = factor * np.exp(-1j * m * t)
+        phases[i] = factor
+    blocks = np.array([rule.entries[label] for label in labels])
+    out = phases.reshape(len(labels), -1).T @ blocks.reshape(len(labels), s * s)
+    return out.reshape(shape + (s, s))
 
 
 @dataclass
@@ -259,7 +255,7 @@ def extract_transition_matrices(f, presentation, support, tol=1e-9, drop_tol=1e-
     for _ in range(8):
         theta = rng.uniform(-np.pi, np.pi, size=d)
         k = presentation.k_of_theta(theta)
-        rebuilt = assemble_theta_operator(rule, presentation, theta)
+        rebuilt = assemble(rule, presentation, theta)
         residual = max(residual, maxabs(rebuilt - f(k)))
     if residual > tol:
         raise SupportMismatchError(
@@ -274,7 +270,8 @@ def spectrum(descriptor, k, unitarity_tol=1e-9):
     Uses the complex Schur form; for a unitary operator it is diagonal, so
     the Schur vectors are an orthonormal eigenbasis even at degeneracies.
     """
-    a = assemble_k_operator(descriptor, k)
+    pres = descriptor.presentation
+    a = assemble(descriptor.rule, pres, pres.theta_of(k))
     s = descriptor.internal_dim
     residual = maxabs(dagger(a) @ a - np.eye(s))
     if residual > unitarity_tol:

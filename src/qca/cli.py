@@ -3,14 +3,11 @@ electromagnetic-sector experiments, tiling and the coupling search.
 
 Every subcommand has a JSON emit mode; numeric output is formatted at 17
 significant digits, so a fixed configuration and seed reproduce output
-byte for byte.  QCA_THREADS caps the worker pool used for grid sweeps
-(results are assembled in input order regardless of completion order).
+byte for byte.
 """
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,20 +15,9 @@ from . import catalog, dirac, evolution, fock, maxwell, serialize, weyl
 from .cayley import build_presentation, make_tiling
 from .errors import PacketBoundaryError, QcaError
 
-_FMT = "%.17g"
-
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def _pool_map(func, items):
-    threads = int(os.environ.get("QCA_THREADS", "0") or 0)
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
 
 
 def _write(text, path):
@@ -91,38 +77,23 @@ def _cmd_validate(args):
 
 # ----------------------------------------------------------- dispersion
 
-def _dispersion_rows(args, descriptor_like):
-    d = descriptor_like["dimension"]
-    grid = args.grid
-    axes = [np.arange(grid) * (2.0 * np.pi / grid) - np.pi for _ in range(d)]
-    pres = descriptor_like["presentation"]
-
-    def row_for(index):
-        theta = np.array([axes[j][index[j]] for j in range(d)])
-        k = pres.k_of_theta(theta)
-        sample = descriptor_like["sample"](k)
-        return (
-            [float(v) for v in k]
-            + [sample.omega[0], sample.omega[1]]
-            + [float(v) for v in sample.group_velocity]
-        )
-
-    indices = list(np.ndindex(*(grid,) * d))
-    return d, _pool_map(row_for, indices)
-
-
 def _cmd_dispersion(args):
+    if args.grid < 1:
+        raise QcaError("--grid must be at least 1")
     variant = weyl.variant_by_name(args.variant, theta=args.theta)
     pres = build_presentation(variant.presentation_kind)
+    d = variant.dimension
+    axis = np.arange(args.grid) * (2.0 * np.pi / args.grid) - np.pi
+    # Rows in np.ndindex order: the last group coordinate varies fastest.
+    theta = np.stack(np.meshgrid(*(axis,) * d, indexing="ij"), axis=-1).reshape(-1, d)
+    # A stack of matrix-vector products rounds as k_of_theta does row by row.
+    k = np.matmul(pres.dual_matrix, theta[..., None])[..., 0]
     if args.dirac:
         dd = dirac.DiracDescriptor(weyl=variant, mass=args.mass)
-        sampler = lambda k: dirac.dirac_dispersion(dd, k)  # noqa: E731
+        sample = dirac.dirac_dispersion(dd, k)
     else:
-        sampler = lambda k: weyl.dispersion(variant, k)  # noqa: E731
-    d, rows = _dispersion_rows(
-        args,
-        {"dimension": variant.dimension, "presentation": pres, "sample": sampler},
-    )
+        sample = weyl.dispersion(variant, k)
+    rows = np.hstack([k, sample.omega, sample.group_velocity]).tolist()
     if args.emit == "csv":
         header = (
             [f"k{j + 1}" for j in range(d)]

@@ -73,11 +73,12 @@ def gamma_form(dd, k):
 
 
 def _omega(dd, u):
-    return float(np.arccos(np.clip(dd.n * u, -1.0, 1.0)))
+    return weyl._omega(dd.n * u)
 
 
 def dirac_dispersion(dd, k):
-    """Doubly degenerate eigenphase branches +-arccos(n u(k)).
+    """Doubly degenerate eigenphase branches +-arccos(n u(k)) at wave-vectors
+    k of shape (..., d).
 
     The helicity field reports the coefficient vector of the spatial
     rotation generator in the interpolating Hamiltonian, f(k) n ntilde(k);
@@ -86,24 +87,11 @@ def dirac_dispersion(dd, k):
     k = np.asarray(k, dtype=float)
     u, nt, gu, _ = weyl.closed_form(dd.weyl, k)
     w = _omega(dd, u)
-    sin_w = np.sqrt(max(1.0 - (dd.n * u) ** 2, 0.0))
-    if sin_w >= 1e-9:
-        velocity = -dd.n * gu / sin_w
-    else:
-        step = 1e-5
-        velocity = np.zeros_like(k)
-        for j in range(k.size):
-            off = np.zeros_like(k)
-            off[j] = step
-            up = weyl.closed_form(dd.weyl, k + off)[0]
-            um = weyl.closed_form(dd.weyl, k - off)[0]
-            velocity[j] = (_omega(dd, up) - _omega(dd, um)) / (2.0 * step)
-    axis = omega_over_sin(w) * dd.n * nt
     return weyl.DispersionSample(
-        k=tuple(float(v) for v in k),
-        omega=(w, -w),
-        group_velocity=tuple(float(v) for v in velocity),
-        helicity=tuple(float(v) for v in axis),
+        k=k,
+        omega=np.stack([w, -w], axis=-1),
+        group_velocity=weyl.group_velocity(dd.weyl, k, u, gu, scale=dd.n),
+        helicity=(omega_over_sin(w) * dd.n)[..., None] * nt,
     )
 
 
@@ -151,6 +139,13 @@ def dirac_small_k_hamiltonian(dd, k):
     return out
 
 
+def _coupled(params, w, adjoint_first):
+    """The constant-block ansatz [[p W', q X], [r Y, t W]], W' = W^+ or W."""
+    p, q, r, t, x_block, y_block = params
+    first = dagger(w) if adjoint_first else w
+    return np.block([[p * first, q * x_block], [r * y_block, t * w]])
+
+
 def coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, k_samples,
                                 adjoint_first=True):
     """Worst unitarity defect of the constant-block coupling ansatz.
@@ -160,10 +155,10 @@ def coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, k_samples
     """
     worst = 0.0
     eye = np.eye(4)
-    for k in np.atleast_2d(np.asarray(k_samples, dtype=float)):
-        w = weyl.weyl_matrix(variant, k)
-        first = dagger(w) if adjoint_first else w
-        d = np.block([[p * first, q * x_block], [r * y_block, t * w]])
+    params = (p, q, r, t, x_block, y_block)
+    ks = np.atleast_2d(np.asarray(k_samples, dtype=float))
+    for w in weyl.weyl_matrix(variant, ks):
+        d = _coupled(params, w, adjoint_first)
         worst = max(worst, maxabs(dagger(d) @ d - eye))
     return worst
 
@@ -175,15 +170,13 @@ def _pack(params):
     return p, q, r, t, x_block, y_block
 
 
-def _residual_vector(params_real, variant, ks, adjoint_first):
-    z = params_real[0::2] + 1j * params_real[1::2]
-    p, q, r, t, x_block, y_block = _pack(z)
+def _residual_vector(params_real, ws, adjoint_first):
+    """Real and imaginary parts of D^+ D - I at the stacked step operators ws."""
+    params = _pack(params_real[0::2] + 1j * params_real[1::2])
     eye = np.eye(4)
     out = []
-    for k in ks:
-        w = weyl.weyl_matrix(variant, k)
-        first = dagger(w) if adjoint_first else w
-        d = np.block([[p * first, q * x_block], [r * y_block, t * w]])
+    for w in ws:
+        d = _coupled(params, w, adjoint_first)
         res = dagger(d) @ d - eye
         out.append(res.real.ravel())
         out.append(res.imag.ravel())
@@ -206,28 +199,24 @@ def _dressed_family_fit(variant, candidate_params, ks, adjoint_first, tol=1e-5):
     with omega(k) = arccos u(k).  Returns (gamma, delta, nu, worst error)
     or None when no such triple reproduces the spectra.
     """
-    p, q, r, t, x_block, y_block = _pack(candidate_params)
-
-    def spectrum_at(k):
-        w = weyl.weyl_matrix(variant, k)
-        first = dagger(w) if adjoint_first else w
-        d = np.block([[p * first, q * x_block], [r * y_block, t * w]])
-        return d, np.sort(principal_phase(np.linalg.eigvals(d)))
+    params = _pack(candidate_params)
+    ws = weyl.weyl_matrix(variant, ks)
+    mats = np.array([_coupled(params, w, adjoint_first) for w in ws])
+    spectra = np.sort(principal_phase(np.linalg.eigvals(mats)), axis=-1)
+    omegas = weyl._omega(weyl.closed_form(variant, ks)[0])
 
     # Estimate gamma from the trace, resolving its pi ambiguity by fit.
     best = None
-    d0, _ = spectrum_at(ks[0])
-    trace_phase = float(np.angle(np.trace(d0))) if abs(np.trace(d0)) > 1e-9 else 0.0
+    trace = np.trace(mats[0])
+    trace_phase = float(np.angle(trace)) if abs(trace) > 1e-9 else 0.0
     for gamma in (trace_phase, _wrap_phase(trace_phase + np.pi)):
         x1_vals, x2_vals, ok = [], [], True
-        for k in ks:
-            _, phases = spectrum_at(k)
+        for phases, omega in zip(spectra, omegas):
             dev = np.sort(_wrap_phase(phases - gamma))
             if abs(dev[0] + dev[3]) > 1e-3 or abs(dev[1] + dev[2]) > 1e-3:
                 ok = False
                 break
             a, b = dev[3], dev[2]
-            omega = float(np.arccos(np.clip(weyl.closed_form(variant, k)[0], -1, 1)))
             if np.sin(omega) < 0.2 or np.cos(omega) < 0.2:
                 continue
             x1_vals.append((np.cos(a) + np.cos(b)) / (2.0 * np.cos(omega)))
@@ -240,9 +229,7 @@ def _dressed_family_fit(variant, candidate_params, ks, adjoint_first, tol=1e-5):
         if nu > 1.0 + 1e-6:
             continue
         worst = 0.0
-        for k in ks:
-            _, phases = spectrum_at(k)
-            omega = float(np.arccos(np.clip(weyl.closed_form(variant, k)[0], -1, 1)))
+        for phases, omega in zip(spectra, omegas):
             pa = np.arccos(np.clip(nu * np.cos(omega + delta), -1, 1))
             pb = np.arccos(np.clip(nu * np.cos(omega - delta), -1, 1))
             model = np.sort(principal_phase(np.exp(1j * (gamma + np.array([pa, -pa, pb, -pb])))))
@@ -269,6 +256,8 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_optimize=12,
     d = variant.dimension
     ks_opt = rng.uniform(-1.5, 1.5, size=(n_k_optimize, d))
     ks_ver = rng.uniform(-1.5, 1.5, size=(n_k_verify, d))
+    # W at the optimization wave-vectors is the same in every trial.
+    ws_opt = weyl.weyl_matrix(variant, ks_opt)
     report = {
         "trials": n_seeds,
         "converged_unitary": 0,
@@ -287,7 +276,7 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_optimize=12,
             fit = scipy.optimize.least_squares(
                 _residual_vector,
                 start,
-                args=(variant, ks_opt, adjoint_first),
+                args=(ws_opt, adjoint_first),
                 method="lm",
                 max_nfev=400,
             )

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .automaton import AutomatonDescriptor, TransitionRule
+from .automaton import AutomatonDescriptor, TransitionRule, assemble
 from .cayley import (
     CayleyPresentation,
     Generator,
@@ -106,34 +106,9 @@ def _theta_axes(sizes):
     return [2.0 * np.pi * np.fft.fftfreq(n) for n in sizes]
 
 
-def _assemble_grid(descriptor, theta_axes):
-    """A(theta) = sum_h exp(-i theta.m_h) A_h on the product grid of per-axis angles.
-
-    Each neighbor's phase is a product of one-dimensional factors, and the
-    sum over neighbors is one matrix product; returns shape (*grid, s, s).
-    """
-    pres = descriptor.presentation
-    d = pres.dimension
-    shape = tuple(len(t) for t in theta_axes)
-    s = descriptor.internal_dim
-    labels = list(descriptor.rule.entries)
-    phases = np.empty((len(labels),) + shape, dtype=complex)
-    for i, label in enumerate(labels):
-        factor = np.ones((1,) * d, dtype=complex)
-        for j, m in enumerate(pres.coordinates[label]):
-            if m:
-                axis = [1] * d
-                axis[j] = shape[j]
-                factor = factor * np.exp(-1j * m * theta_axes[j]).reshape(axis)
-        phases[i] = factor
-    blocks = np.array([descriptor.rule.entries[label] for label in labels])
-    out = phases.reshape(len(labels), -1).T @ blocks.reshape(len(labels), s * s)
-    return out.reshape(shape + (s, s))
-
-
 def mode_matrices(descriptor, sizes):
     """Stacked per-mode step operators over the FFT grid, shape (*sizes, s, s)."""
-    return _assemble_grid(descriptor, _theta_axes(sizes))
+    return assemble(descriptor.rule, descriptor.presentation, np.ix_(*_theta_axes(sizes)))
 
 
 def _apply(mats, hat):
@@ -320,7 +295,7 @@ def make_packet(spec, descriptor, lattice, plan=None):
     # One eig call: the reference operator A(theta0) heads the stack of the
     # significant modes.
     significant = envelope > 1e-14
-    reference = _assemble_grid(descriptor, [np.array([t]) for t in theta0])
+    reference = assemble(descriptor.rule, pres, theta0)
     projectors = _branch_projectors(
         np.concatenate([reference.reshape(1, s, s), plan.mats[significant]]), spec.branch
     )

@@ -17,9 +17,9 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def pauli_dot(v):
-    """sigma . v for a (possibly complex) 3-vector v."""
+    """sigma . v for (possibly complex) 3-vectors v of shape (..., 3)."""
     v = np.asarray(v, dtype=complex)
-    return np.tensordot(v, PAULI, axes=([0], [0]))
+    return np.tensordot(v, PAULI, axes=([-1], [0]))
 
 
 def dagger(m):
@@ -45,12 +45,13 @@ def su2_exp(n):
 
 
 def omega_over_sin(w):
-    """w / sin(w) with the removable singularity at w = 0 filled by series."""
-    w = float(w)
-    if abs(w) < 1e-4:
-        w2 = w * w
-        return 1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0
-    return w / np.sin(w)
+    """w / sin(w), elementwise, with the removable singularity at w = 0
+    filled by series."""
+    w = np.asarray(w, dtype=float)
+    small = np.abs(w) < 1e-4
+    w2 = w * w
+    safe = np.where(small, 1.0, w)
+    return np.where(small, 1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0, safe / np.sin(safe))
 
 
 def omega_over_sin_deriv(w):
@@ -84,13 +85,3 @@ def rotation_about(v):
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / (theta * theta)
     return np.eye(3) + a * c + b * (c @ c)
-
-
-def angular_momentum_matrices():
-    """Spin-1 triplet (J_l)_{jk} = +i eps_{ljk}, so exp(-i v.J) = exp([-v]_x).
-
-    This is the convention under which conjugating the Pauli vector is
-    exactly exp(-i v.sigma/2) sigma exp(i v.sigma/2) = Exp(-i v.J) sigma.
-    """
-    basis = np.eye(3)
-    return np.stack([-1j * cross_matrix(basis[l]) for l in range(3)])

@@ -7,6 +7,7 @@ internal dimension, time, then complex amplitudes with the internal index
 fastest.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -182,26 +183,36 @@ def save_snapshot(state, path):
 
 
 def load_snapshot(path, presentation):
-    """Read a snapshot back onto a lattice over the given presentation."""
+    """Read a snapshot back onto a lattice over the given presentation.
+
+    The header's dimension must be the presentation's and the file must end
+    exactly after the amplitudes the header declares; both are checked
+    before the body is read.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError("not a state snapshot (bad magic)")
-    offset = 4
-    version, = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    if len(raw) < 12:
+        raise ValueError("truncated snapshot header")
+    version, d = struct.unpack_from("<II", raw, 4)
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    d, = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    sizes = struct.unpack_from(f"<{d}I", raw, offset)
-    offset += 4 * d
-    s, = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    time, = struct.unpack_from("<q", raw, offset)
-    offset += 8
-    count = int(np.prod(sizes)) * s
-    amps = np.frombuffer(raw, dtype="<c16", count=count, offset=offset)
+    if d != presentation.dimension:
+        raise ValueError(
+            f"snapshot has dimension {d}, the presentation {presentation.dimension}"
+        )
+    header = 24 + 4 * d
+    if len(raw) < header:
+        raise ValueError("truncated snapshot header")
+    sizes = struct.unpack_from(f"<{d}I", raw, 12)
+    s, time = struct.unpack_from("<Iq", raw, 12 + 4 * d)
+    count = math.prod(sizes) * s
+    if len(raw) != header + 16 * count:
+        raise ValueError(
+            f"snapshot length {len(raw)} bytes, its header declares {header + 16 * count}"
+        )
+    amps = np.frombuffer(raw, dtype="<c16", count=count, offset=header)
     amps = amps.reshape(tuple(sizes) + (s,)).astype(complex)
     lattice = LatticeSpec(presentation=presentation, sizes=tuple(int(v) for v in sizes))
     return FieldState(lattice=lattice, internal_dim=int(s), amplitudes=amps, time=int(time))
@@ -212,8 +223,3 @@ def load_descriptor(path):
 
     with open(path, "r", encoding="utf-8") as fh:
         return descriptor_from_dict(json.load(fh))
-
-
-def save_descriptor(descriptor, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_document(descriptor_to_dict(descriptor)))

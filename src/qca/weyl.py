@@ -65,83 +65,93 @@ class WeylVariant:
 
 @dataclass(frozen=True)
 class DispersionSample:
-    """Dispersion data at one wave-vector.
+    """Dispersion data at wave-vectors k of shape (..., d).
 
-    omega holds the two eigenphase branches (+arccos u, -arccos u);
-    group_velocity is the gradient of the positive branch; helicity is the
-    rotation-axis vector n with |n| = omega and exp(-i sigma.n) = W(k).
+    omega (..., 2) holds the two eigenphase branches (+arccos u, -arccos u);
+    group_velocity (..., d) is the gradient of the positive branch; helicity
+    (..., 3) is the rotation-axis vector n with |n| = omega and
+    exp(-i sigma.n) = W(k).
     """
 
-    k: tuple
-    omega: tuple
-    group_velocity: tuple
-    helicity: tuple
+    k: np.ndarray
+    omega: np.ndarray
+    group_velocity: np.ndarray
+    helicity: np.ndarray
+
+
+def _vectors(*parts):
+    """Stack broadcast components along a new last axis."""
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _matrices(*rows):
+    """Stack rows of broadcast components into shape (..., rows, columns)."""
+    return np.stack(np.broadcast_arrays(*(_vectors(*row) for row in rows)), axis=-2)
 
 
 def _base_closed_form(dimension, sign, k):
-    """(u, ntilde, grad u, jacobian of ntilde) before theta/transpose."""
+    """(u, ntilde, grad u, jacobian of ntilde) before theta/transpose.
+
+    k has shape (..., d); the results have shapes (...), (..., 3), (..., d)
+    and (..., 3, d).
+    """
     k = np.asarray(k, dtype=float)
     if dimension == 1:
-        c, s = np.cos(k[0]), np.sin(k[0])
+        c, s = np.cos(k[..., 0]), np.sin(k[..., 0])
         u = c
-        ntilde = np.array([0.0, 0.0, s])
-        grad_u = np.array([-s])
-        jac = np.array([[0.0], [0.0], [c]])
+        ntilde = _vectors(0.0, 0.0, s)
+        grad_u = _vectors(-s)
+        jac = _matrices([0.0], [0.0], [c])
         return u, ntilde, grad_u, jac
     if dimension == 2:
         r = 1.0 / np.sqrt(2.0)
-        cx, cy = np.cos(k[0] * r), np.cos(k[1] * r)
-        sx, sy = np.sin(k[0] * r), np.sin(k[1] * r)
+        cx, cy = np.cos(k[..., 0] * r), np.cos(k[..., 1] * r)
+        sx, sy = np.sin(k[..., 0] * r), np.sin(k[..., 1] * r)
         u = cx * cy
-        ntilde = np.array([sx * cy, cx * sy, sx * sy])
-        grad_u = r * np.array([-sx * cy, -cx * sy])
-        jac = r * np.array(
-            [
-                [cx * cy, -sx * sy],
-                [-sx * sy, cx * cy],
-                [cx * sy, sx * cy],
-            ]
+        ntilde = _vectors(sx * cy, cx * sy, sx * sy)
+        grad_u = r * _vectors(-sx * cy, -cx * sy)
+        jac = r * _matrices(
+            [cx * cy, -sx * sy],
+            [-sx * sy, cx * cy],
+            [cx * sy, sx * cy],
         )
         return u, ntilde, grad_u, jac
     r = 1.0 / np.sqrt(3.0)
-    cx, cy, cz = np.cos(k[0] * r), np.cos(k[1] * r), np.cos(k[2] * r)
-    sx, sy, sz = np.sin(k[0] * r), np.sin(k[1] * r), np.sin(k[2] * r)
+    cx, cy, cz = np.cos(k[..., 0] * r), np.cos(k[..., 1] * r), np.cos(k[..., 2] * r)
+    sx, sy, sz = np.sin(k[..., 0] * r), np.sin(k[..., 1] * r), np.sin(k[..., 2] * r)
     g = float(sign)
     u = cx * cy * cz + g * sx * sy * sz
-    ntilde = np.array(
-        [
-            sx * cy * cz - g * cx * sy * sz,
-            -g * cx * sy * cz - sx * cy * sz,
-            cx * cy * sz - g * sx * sy * cz,
-        ]
+    ntilde = _vectors(
+        sx * cy * cz - g * cx * sy * sz,
+        -g * cx * sy * cz - sx * cy * sz,
+        cx * cy * sz - g * sx * sy * cz,
     )
-    grad_u = r * np.array(
-        [
-            -sx * cy * cz + g * cx * sy * sz,
-            -cx * sy * cz + g * sx * cy * sz,
-            -cx * cy * sz + g * sx * sy * cz,
-        ]
+    grad_u = r * _vectors(
+        -sx * cy * cz + g * cx * sy * sz,
+        -cx * sy * cz + g * sx * cy * sz,
+        -cx * cy * sz + g * sx * sy * cz,
     )
-    jac = r * np.array(
-        [
-            [cx * cy * cz + g * sx * sy * sz, -sx * sy * cz - g * cx * cy * sz, -sx * cy * sz - g * cx * sy * cz],
-            [g * sx * sy * cz - cx * cy * sz, -g * cx * cy * cz + sx * sy * sz, g * cx * sy * sz - sx * cy * cz],
-            [-sx * cy * sz - g * cx * sy * cz, -cx * sy * sz - g * sx * cy * cz, cx * cy * cz + g * sx * sy * sz],
-        ]
+    jac = r * _matrices(
+        [cx * cy * cz + g * sx * sy * sz, -sx * sy * cz - g * cx * cy * sz, -sx * cy * sz - g * cx * sy * cz],
+        [g * sx * sy * cz - cx * cy * sz, -g * cx * cy * cz + sx * sy * sz, g * cx * sy * sz - sx * cy * cz],
+        [-sx * cy * sz - g * cx * sy * cz, -cx * sy * sz - g * sx * cy * cz, cx * cy * cz + g * sx * sy * sz],
     )
     return u, ntilde, grad_u, jac
 
 
 def closed_form(variant, k):
-    """(u, ntilde, grad u, jac ntilde) including theta and transpose."""
+    """(u, ntilde, grad u, jac ntilde) including theta and transpose.
+
+    Accepts k of shape (..., d); see _base_closed_form for the shapes.
+    """
     u, nt, gu, jac = _base_closed_form(variant.dimension, variant.sign, k)
     if variant.theta != 0.0:
         ct, st = np.cos(variant.theta), np.sin(variant.theta)
-        u2 = ct * u + st * nt[0]
-        nt2 = ct * nt - st * u * _X_HAT - st * np.cross(_X_HAT, nt)
-        gu2 = ct * gu + st * jac[0, :]
-        jac2 = ct * jac - st * np.outer(_X_HAT, gu)
-        jac2 -= st * np.cross(_X_HAT, jac, axisa=0, axisb=0).T
+        u2 = ct * u + st * nt[..., 0]
+        nt2 = ct * nt - (st * u)[..., None] * _X_HAT - st * np.cross(_X_HAT, nt)
+        gu2 = ct * gu + st * jac[..., 0, :]
+        jac2 = ct * jac - st * (_X_HAT[:, None] * gu[..., None, :])
+        jac2 -= st * np.cross(_X_HAT, jac, axisb=-2, axisc=-2)
         u, nt, gu, jac = u2, nt2, gu2, jac2
     if variant.kind == "B":
         flip = np.array([1.0, -1.0, 1.0])
@@ -151,51 +161,53 @@ def closed_form(variant, k):
 
 
 def weyl_matrix(variant, k):
-    """Step operator W(k) = u I - i sigma . ntilde."""
+    """Step operator W(k) = u I - i sigma . ntilde, shape (..., 2, 2)."""
     u, nt, _, _ = closed_form(variant, k)
-    return u * ID2 - 1j * pauli_dot(nt)
+    return np.asarray(u)[..., None, None] * ID2 - 1j * pauli_dot(nt)
 
 
 def _omega(u):
-    return float(np.arccos(np.clip(u, -1.0, 1.0)))
+    return np.arccos(np.clip(u, -1.0, 1.0))
 
 
-def _group_velocity(variant, k, u, grad_u):
-    sin_w = np.sqrt(max(1.0 - u * u, 0.0))
-    if sin_w >= 1e-9:
-        return -grad_u / sin_w
-    # Band-touching point: fall back to symmetric differences, which return
-    # the direction-averaged value at a cone tip.
-    step = 1e-5
+def group_velocity(variant, k, u, grad_u, scale=1.0):
+    """Gradient of the positive branch arccos(scale * u(k)), shape (..., d).
+
+    Where sin(omega) < 1e-9 (band-touching points) symmetric differences
+    stand in; they return the direction-averaged value at a cone tip.
+    """
     k = np.asarray(k, dtype=float)
-    grad = np.zeros_like(k)
-    for j in range(k.size):
-        offset = np.zeros_like(k)
-        offset[j] = step
-        up, _, _, _ = closed_form(variant, k + offset)
-        um, _, _, _ = closed_form(variant, k - offset)
-        grad[j] = (_omega(up) - _omega(um)) / (2.0 * step)
-    return grad
+    a = scale * u
+    sin_w = np.sqrt(np.maximum(1.0 - a * a, 0.0))
+    touch = sin_w < 1e-9
+    velocity = -scale * grad_u / np.where(touch, 1.0, sin_w)[..., None]
+    if np.any(touch):
+        step = 1e-5
+        near = k[touch][:, None, :]
+        offsets = step * np.eye(k.shape[-1])
+        up = closed_form(variant, near + offsets)[0]
+        um = closed_form(variant, near - offsets)[0]
+        velocity[touch] = (_omega(scale * up) - _omega(scale * um)) / (2.0 * step)
+    return velocity
 
 
 def helicity_vector(variant, k):
     """Rotation-axis vector n = (omega / sin omega) ntilde; |n| = omega."""
     u, nt, _, _ = closed_form(variant, k)
-    return omega_over_sin(_omega(u)) * nt
+    return omega_over_sin(_omega(u))[..., None] * nt
 
 
 def dispersion(variant, k):
-    """Eigenphase branches, group velocity and helicity at one wave-vector."""
+    """Eigenphase branches, group velocity and helicity at wave-vectors k
+    of shape (..., d)."""
     k = np.asarray(k, dtype=float)
     u, nt, gu, _ = closed_form(variant, k)
     w = _omega(u)
-    velocity = _group_velocity(variant, k, u, gu)
-    n = omega_over_sin(w) * nt
     return DispersionSample(
-        k=tuple(float(v) for v in k),
-        omega=(w, -w),
-        group_velocity=tuple(float(v) for v in velocity),
-        helicity=tuple(float(v) for v in n),
+        k=k,
+        omega=np.stack([w, -w], axis=-1),
+        group_velocity=group_velocity(variant, k, u, gu),
+        helicity=omega_over_sin(w)[..., None] * nt,
     )
 
 

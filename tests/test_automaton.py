@@ -7,7 +7,7 @@ from qca import catalog, weyl
 from qca.automaton import (
     AutomatonDescriptor,
     TransitionRule,
-    assemble_k_operator,
+    assemble,
     check_covariance,
     check_unitarity_conditions,
     extract_transition_matrices,
@@ -18,9 +18,15 @@ from qca.errors import SupportMismatchError
 from qca.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, maxabs
 
 
+def _at_k(descriptor, k):
+    """A(k) at one Cartesian wave-vector."""
+    pres = descriptor.presentation
+    return assemble(descriptor.rule, pres, pres.theta_of(k))
+
+
 def test_assemble_weyl1d_quarter_turn():
     d = catalog.build_descriptor("weyl-1d")
-    a = assemble_k_operator(d, [np.pi / 2.0])
+    a = _at_k(d, [np.pi / 2.0])
     assert maxabs(a - (-1j * SIGMA_Z)) < 1e-15
 
 
@@ -28,7 +34,7 @@ def test_assemble_identity_at_zero():
     for name in ("weyl-1d", "weyl-2d", "bcc-a-plus"):
         d = catalog.build_descriptor(name)
         dim = d.presentation.dimension
-        assert maxabs(assemble_k_operator(d, np.zeros(dim)) - np.eye(2)) < 1e-14
+        assert maxabs(_at_k(d, np.zeros(dim)) - np.eye(2)) < 1e-14
 
 
 def test_assemble_matches_closed_form():
@@ -46,7 +52,7 @@ def test_assemble_matches_closed_form():
         ]
     )
     expected = u * np.eye(2) - 1j * (nt[0] * SIGMA_X + nt[1] * SIGMA_Y + nt[2] * SIGMA_Z)
-    assert maxabs(assemble_k_operator(d, k) - expected) < 1e-13
+    assert maxabs(_at_k(d, k) - expected) < 1e-13
 
 
 def test_unitarity_conditions_weyl_rules():
@@ -89,7 +95,7 @@ def test_unitarity_bounds_k_operator_residual():
     rng = np.random.default_rng(0)
     for _ in range(20):
         k = rng.uniform(-3, 3, size=2)
-        a = assemble_k_operator(perturbed, k)
+        a = _at_k(perturbed, k)
         assert maxabs(dagger(a) @ a - np.eye(2)) <= 4 * terms * tau
 
 
@@ -179,7 +185,7 @@ def test_extraction_round_trip_random_rule():
     rule = TransitionRule(entries=entries, internal_dim=3)
     d = AutomatonDescriptor(presentation=p, rule=rule)
     recovered = extract_transition_matrices(
-        lambda k: assemble_k_operator(d, k), p, p.signed_labels() + ("e",)
+        lambda k: _at_k(d, k), p, p.signed_labels() + ("e",)
     )
     for lab, blk in entries.items():
         assert maxabs(recovered.entries[lab] - blk) < 1e-12, lab

@@ -1,7 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -70,15 +69,12 @@ def test_dispersion_deterministic_output(capsys):
     assert first == second
 
 
-def test_dispersion_threaded_matches_serial(capsys):
-    args = ["dispersion", "--variant", "weyl-2d", "--grid", "6", "--emit", "csv"]
-    _, serial, _ = _run(capsys, args)
-    os.environ["QCA_THREADS"] = "3"
-    try:
-        _, threaded, _ = _run(capsys, args)
-    finally:
-        del os.environ["QCA_THREADS"]
-    assert serial == threaded
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_dispersion_rejects_empty_grid(capsys, grid):
+    code, out, err = _run(capsys, ["dispersion", "--variant", "weyl-1d", "--grid", grid])
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err
 
 
 def test_dispersion_dirac_mode(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qca import catalog, evolution, weyl
-from qca.automaton import assemble_theta_operator
+from qca.automaton import assemble
 from qca.cayley import build_presentation, make_tiling
 from qca.errors import PacketBoundaryError, ZoneLeakError
 from qca.pauli import maxabs, principal_phase
@@ -249,12 +249,12 @@ def test_tiling_band_folding_1d():
     coarse = evolution.tile_descriptor(d, t)
     rng = np.random.default_rng(8)
     for theta_prime in rng.uniform(-np.pi, np.pi, size=10):
-        a = assemble_theta_operator(coarse.rule, coarse.presentation, [theta_prime])
+        a = assemble(coarse.rule, coarse.presentation, [theta_prime])
         coarse_phases = np.sort(principal_phase(np.linalg.eigvals(a)))
         fine = []
         for fold in range(2):
             th = theta_prime / 2.0 + np.pi * fold
-            b = assemble_theta_operator(d.rule, d.presentation, [th])
+            b = assemble(d.rule, d.presentation, [th])
             fine.extend(np.linalg.eigvals(b))
         fine_phases = np.sort(principal_phase(np.array(fine)))
         assert np.max(np.abs(coarse_phases - fine_phases)) < 1e-10
@@ -267,13 +267,13 @@ def test_tiling_band_folding_2d():
     rng = np.random.default_rng(9)
     for _ in range(5):
         theta_prime = rng.uniform(-np.pi, np.pi, size=2)
-        a = assemble_theta_operator(coarse.rule, coarse.presentation, theta_prime)
+        a = assemble(coarse.rule, coarse.presentation, theta_prime)
         coarse_phases = np.sort(principal_phase(np.linalg.eigvals(a)))
         fine = []
         for fx in range(2):
             for fy in range(2):
                 th = theta_prime / 2.0 + np.pi * np.array([fx, fy])
-                b = assemble_theta_operator(d.rule, d.presentation, th)
+                b = assemble(d.rule, d.presentation, th)
                 fine.extend(np.linalg.eigvals(b))
         fine_phases = np.sort(principal_phase(np.array(fine)))
         assert np.max(np.abs(coarse_phases - fine_phases)) < 1e-10
@@ -305,3 +305,40 @@ def test_snapshot_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
     with open(path, "rb") as fh:
         assert fh.read(4) == b"QCAS"
+
+
+def _snapshot_bytes(tmp_path):
+    from qca import serialize
+
+    d = catalog.build_descriptor("weyl-2d")
+    path = tmp_path / "state.qcas"
+    serialize.save_snapshot(_rand_state(d, (4, 6), seed=12), path)
+    return d, path, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mangle,match",
+    [
+        (lambda raw: raw + b"\x00", "length"),
+        (lambda raw: raw[:-1], "length"),
+        (lambda raw: raw[:14], "truncated"),
+        (lambda raw: raw[:4], "truncated"),
+    ],
+    ids=["trailing-byte", "short-body", "cut-in-sizes", "magic-only"],
+)
+def test_snapshot_rejects_bad_length(tmp_path, mangle, match):
+    from qca import serialize
+
+    d, path, raw = _snapshot_bytes(tmp_path)
+    path.write_bytes(mangle(raw))
+    with pytest.raises(ValueError, match=match):
+        serialize.load_snapshot(path, d.presentation)
+
+
+def test_snapshot_rejects_dimension_mismatch(tmp_path):
+    from qca import serialize
+
+    _, path, _ = _snapshot_bytes(tmp_path)
+    line = catalog.build_descriptor("weyl-1d").presentation
+    with pytest.raises(ValueError, match="snapshot has dimension 2"):
+        serialize.load_snapshot(path, line)
