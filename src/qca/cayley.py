@@ -131,9 +131,6 @@ class CayleyPresentation:
             labels.append(g.inverse_label)
         return tuple(labels)
 
-    def displacement_of(self, label):
-        return self.basis_matrix @ np.asarray(self.coordinates[label], dtype=float)
-
     def theta_of(self, k):
         """Group-coordinate angles theta_j = k . h_j."""
         return self.basis_matrix.T @ np.asarray(k, dtype=float)

@@ -16,10 +16,6 @@ from .cayley import build_presentation, make_tiling
 from .errors import PacketBoundaryError, QcaError
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _write(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -100,8 +96,8 @@ def _cmd_dispersion(args):
             + ["omega_plus", "omega_minus"]
             + [f"v{j + 1}" for j in range(d)]
         )
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        template = ",".join(["%.17g"] * len(header))
+        lines = [",".join(header)] + [template % tuple(row) for row in rows]
         _write("\n".join(lines) + "\n", args.output)
     else:
         _emit_report({"variant": args.variant, "dirac": bool(args.dirac),
@@ -128,6 +124,8 @@ def _parse_packet(text, dimension):
     k0 = _parse_vector(fields["k0"], dimension)
     sigma = float(fields["sigma"])
     x0 = tuple(int(v) for v in fields.get("x0", ",".join(["0"] * dimension)).split(","))
+    if len(x0) != dimension:
+        raise QcaError(f"packet x0 needs {dimension} components, got {len(x0)}")
     branch = fields.get("branch", "plus")
     return evolution.WavePacketSpec(
         center_k=tuple(k0), sigma_k=sigma, center_x=x0, branch=branch
@@ -164,8 +162,8 @@ def _cmd_evolve(args):
     if args.observables:
         d = descriptor.presentation.dimension
         header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]
-        lines = [",".join(header)]
-        lines += [",".join([str(int(r[0]))] + [_fmt(v) for v in r[1:]]) for r in rows]
+        template = ",".join(["%d"] + ["%.17g"] * (len(header) - 1))
+        lines = [",".join(header)] + [template % tuple(row) for row in rows]
         _write("\n".join(lines) + "\n", args.observables)
 
     summary = {

@@ -56,11 +56,10 @@ class DiracDescriptor:
 
 
 def dirac_matrix(dd, k):
-    """Step operator with blocks n W^+, n W and constant i m off-diagonal."""
-    w = weyl.weyl_matrix(dd.weyl, k)
-    n, m = dd.n, dd.mass
-    im = 1j * m * ID2
-    return np.block([[n * dagger(w), im], [im, n * w]])
+    """Step operator with blocks n W^+, n W and constant i m off-diagonal, at
+    wave-vectors k of shape (..., d); shape (..., 4, 4)."""
+    im = 1j * dd.mass
+    return _coupled((dd.n, im, im, dd.n, ID2, ID2), weyl.weyl_matrix(dd.weyl, k), True)
 
 
 def gamma_form(dd, k):
@@ -140,10 +139,21 @@ def dirac_small_k_hamiltonian(dd, k):
 
 
 def _coupled(params, w, adjoint_first):
-    """The constant-block ansatz [[p W', q X], [r Y, t W]], W' = W^+ or W."""
+    """The constant-block ansatz [[p W', q X], [r Y, t W]], W' = W^+ or W, for
+    a stack w of shape (..., 2, 2); shape (..., 4, 4)."""
     p, q, r, t, x_block, y_block = params
-    first = dagger(w) if adjoint_first else w
-    return np.block([[p * first, q * x_block], [r * y_block, t * w]])
+    out = np.empty(w.shape[:-2] + (4, 4), dtype=complex)
+    out[..., :2, :2] = p * (dagger(w) if adjoint_first else w)
+    out[..., :2, 2:] = q * x_block
+    out[..., 2:, :2] = r * y_block
+    out[..., 2:, 2:] = t * w
+    return out
+
+
+def _unitarity_defect(params, ws, adjoint_first):
+    """D^+ D - I of the ansatz at every step operator of the stack ws."""
+    d = _coupled(params, ws, adjoint_first)
+    return dagger(d) @ d - np.eye(4)
 
 
 def coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, k_samples,
@@ -153,14 +163,9 @@ def coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, k_samples
     The candidate step operator is [[p W', q X], [r Y, t W]] with W' either
     W(k)^+ (the arrangement that contains the mass family) or W(k).
     """
-    worst = 0.0
-    eye = np.eye(4)
-    params = (p, q, r, t, x_block, y_block)
     ks = np.atleast_2d(np.asarray(k_samples, dtype=float))
-    for w in weyl.weyl_matrix(variant, ks):
-        d = _coupled(params, w, adjoint_first)
-        worst = max(worst, maxabs(dagger(d) @ d - eye))
-    return worst
+    ws = weyl.weyl_matrix(variant, ks)
+    return maxabs(_unitarity_defect((p, q, r, t, x_block, y_block), ws, adjoint_first))
 
 
 def _pack(params):
@@ -171,16 +176,11 @@ def _pack(params):
 
 
 def _residual_vector(params_real, ws, adjoint_first):
-    """Real and imaginary parts of D^+ D - I at the stacked step operators ws."""
+    """Real and imaginary parts of D^+ D - I at the stacked step operators ws,
+    the 16 real parts and then the 16 imaginary parts of each in turn."""
     params = _pack(params_real[0::2] + 1j * params_real[1::2])
-    eye = np.eye(4)
-    out = []
-    for w in ws:
-        d = _coupled(params, w, adjoint_first)
-        res = dagger(d) @ d - eye
-        out.append(res.real.ravel())
-        out.append(res.imag.ravel())
-    return np.concatenate(out)
+    res = _unitarity_defect(params, ws, adjoint_first).reshape(-1, 16)
+    return np.concatenate([res.real, res.imag], axis=1).ravel()
 
 
 def _wrap_phase(x):
@@ -199,42 +199,36 @@ def _dressed_family_fit(variant, candidate_params, ks, adjoint_first, tol=1e-5):
     with omega(k) = arccos u(k).  Returns (gamma, delta, nu, worst error)
     or None when no such triple reproduces the spectra.
     """
-    params = _pack(candidate_params)
-    ws = weyl.weyl_matrix(variant, ks)
-    mats = np.array([_coupled(params, w, adjoint_first) for w in ws])
+    mats = _coupled(_pack(candidate_params), weyl.weyl_matrix(variant, ks), adjoint_first)
     spectra = np.sort(principal_phase(np.linalg.eigvals(mats)), axis=-1)
     omegas = weyl._omega(weyl.closed_form(variant, ks)[0])
+    # Only wave-vectors away from the band edges estimate (nu, delta).
+    usable = ~((np.sin(omegas) < 0.2) | (np.cos(omegas) < 0.2))
+    cos_w, sin_w = np.cos(omegas[usable]), np.sin(omegas[usable])
+    if cos_w.size < 3:
+        return None
 
     # Estimate gamma from the trace, resolving its pi ambiguity by fit.
     best = None
     trace = np.trace(mats[0])
     trace_phase = float(np.angle(trace)) if abs(trace) > 1e-9 else 0.0
     for gamma in (trace_phase, _wrap_phase(trace_phase + np.pi)):
-        x1_vals, x2_vals, ok = [], [], True
-        for phases, omega in zip(spectra, omegas):
-            dev = np.sort(_wrap_phase(phases - gamma))
-            if abs(dev[0] + dev[3]) > 1e-3 or abs(dev[1] + dev[2]) > 1e-3:
-                ok = False
-                break
-            a, b = dev[3], dev[2]
-            if np.sin(omega) < 0.2 or np.cos(omega) < 0.2:
-                continue
-            x1_vals.append((np.cos(a) + np.cos(b)) / (2.0 * np.cos(omega)))
-            x2_vals.append(-(np.cos(a) - np.cos(b)) / (2.0 * np.sin(omega)))
-        if not ok or len(x1_vals) < 3:
+        dev = np.sort(_wrap_phase(spectra - gamma), axis=-1)
+        # The deviations must come in +- pairs at every wave-vector.
+        if np.any(np.abs(dev[..., :2] + dev[..., 3:1:-1]) > 1e-3):
             continue
-        x1, x2 = float(np.median(x1_vals)), float(np.median(x2_vals))
+        cos_a, cos_b = np.cos(dev[..., 3][usable]), np.cos(dev[..., 2][usable])
+        x1 = float(np.median((cos_a + cos_b) / (2.0 * cos_w)))
+        x2 = float(np.median(-(cos_a - cos_b) / (2.0 * sin_w)))
         nu = float(np.hypot(x1, x2))
         delta = float(np.arctan2(x2, x1))
         if nu > 1.0 + 1e-6:
             continue
-        worst = 0.0
-        for phases, omega in zip(spectra, omegas):
-            pa = np.arccos(np.clip(nu * np.cos(omega + delta), -1, 1))
-            pb = np.arccos(np.clip(nu * np.cos(omega - delta), -1, 1))
-            model = np.sort(principal_phase(np.exp(1j * (gamma + np.array([pa, -pa, pb, -pb])))))
-            worst = max(worst, float(np.max(np.abs(
-                _wrap_phase(np.sort(phases) - model)))))
+        pa = np.arccos(np.clip(nu * np.cos(omegas + delta), -1, 1))
+        pb = np.arccos(np.clip(nu * np.cos(omegas - delta), -1, 1))
+        model = np.sort(principal_phase(
+            np.exp(1j * (gamma + np.stack([pa, -pa, pb, -pb], axis=-1)))), axis=-1)
+        worst = float(np.max(np.abs(_wrap_phase(spectra - model))))
         if worst < tol and (best is None or worst < best[3]):
             best = (gamma, delta, nu, worst)
     return best
@@ -246,7 +240,8 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_optimize=12,
 
     Each trial draws a random constant-block ansatz and locally minimizes
     the unitarity residual; trials that converge below residual_tol are
-    classified by their spectra.  This is desk-scale evidence, not a proof.
+    classified by their spectra; trials whose optimizer raises are counted
+    in optimizer_failures.  This is desk-scale evidence, not a proof.
     """
     import scipy.optimize
 
@@ -260,6 +255,7 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_optimize=12,
     ws_opt = weyl.weyl_matrix(variant, ks_opt)
     report = {
         "trials": n_seeds,
+        "optimizer_failures": 0,
         "converged_unitary": 0,
         "decoupled_endpoint": 0,
         "flip_endpoint": 0,
@@ -280,7 +276,8 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_optimize=12,
                 method="lm",
                 max_nfev=400,
             )
-        except Exception:  # pragma: no cover - optimizer hiccup
+        except (ValueError, np.linalg.LinAlgError):
+            report["optimizer_failures"] += 1
             continue
         z = fit.x[0::2] + 1j * fit.x[1::2]
         p, q, r, t, x_block, y_block = _pack(z)

@@ -46,10 +46,6 @@ class LatticeSpec:
         if any(n < 2 for n in self.sizes):
             raise ValueError("lattice sizes must be at least 2")
 
-    @property
-    def site_count(self):
-        return int(np.prod(self.sizes))
-
 
 @dataclass(frozen=True)
 class FieldState:
@@ -232,8 +228,10 @@ class WavePacketSpec:
     def __post_init__(self):
         if self.branch not in ("plus", "minus"):
             raise ValueError("branch must be 'plus' or 'minus'")
-        if self.sigma_k <= 0:
-            raise ValueError("sigma_k must be positive")
+        if not (np.isfinite(self.sigma_k) and self.sigma_k > 0):
+            raise ValueError("sigma_k must be positive and finite")
+        if not np.all(np.isfinite(self.center_k)):
+            raise ValueError("center_k must be finite")
 
 
 def _branch_projectors(mats, branch):

@@ -128,3 +128,38 @@ def test_residual_vector_from_precomputed_stack(adjoint_first):
         res = dagger(d) @ d - np.eye(4)
         want += [res.real.ravel(), res.imag.ravel()]
     assert _same_bits(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("variant", DIRAC_VARIANTS, ids=lambda v: f"d={v.dimension}")
+@pytest.mark.parametrize("mass", [0.0, 0.3, 1.0])
+def test_dirac_matrix_rows_are_block_built(variant, mass):
+    dd = dirac.DiracDescriptor(weyl=variant, mass=mass)
+    ks = _zone_points(variant)
+    got = dirac.dirac_matrix(dd, ks)
+    assert got.shape == (len(ks), 4, 4)
+    im = 1j * mass * np.eye(2, dtype=complex)
+    for i, k in enumerate(ks):
+        w = weyl.weyl_matrix(variant, k)
+        want = np.block([[dd.n * dagger(w), im], [im, dd.n * w]])
+        assert _same_bits(got[i], want), i
+        assert _same_bits(dirac.dirac_matrix(dd, k), want), i
+
+
+@pytest.mark.parametrize("adjoint_first", [True, False])
+def test_coupling_residual_is_worst_per_k_residual(adjoint_first):
+    variant = weyl.WeylVariant(3)
+    rng = np.random.default_rng(9)
+    ks = rng.uniform(-1.5, 1.5, size=(20, 3))
+    z = rng.normal(size=12) + 1j * rng.normal(size=12)
+    p, q, r, t = z[:4]
+    x_block, y_block = z[4:8].reshape(2, 2), z[8:12].reshape(2, 2)
+    got = dirac.coupling_unitarity_residual(
+        p, q, r, t, x_block, y_block, variant, ks, adjoint_first=adjoint_first
+    )
+    per_k = []
+    for k in ks:
+        w = weyl.weyl_matrix(variant, k)
+        first = dagger(w) if adjoint_first else w
+        d = np.block([[p * first, q * x_block], [r * y_block, t * w]])
+        per_k.append(np.max(np.abs(dagger(d) @ d - np.eye(4))))
+    assert got == max(per_k)

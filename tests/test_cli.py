@@ -149,6 +149,30 @@ def test_evolve_rejects_non_positive_steps(capsys):
     assert "--steps" in err
 
 
+@pytest.mark.parametrize("packet, message", [
+    ("k0=0.2,0,0;sigma=0.1;x0=1,2", "x0"),
+    ("k0=0.2,0,0;sigma=0.1;x0=1,2,3,4", "x0"),
+    ("k0=0.2,0,0;sigma=nan", "sigma_k"),
+    ("k0=0.2,0,0;sigma=inf", "sigma_k"),
+    ("k0=0.2,0,0;sigma=-0.1", "sigma_k"),
+    ("k0=nan,0,0;sigma=0.1", "center_k"),
+    ("k0=0.2,inf,0;sigma=0.1", "center_k"),
+])
+def test_evolve_rejects_bad_packet_before_any_work(capsys, tmp_path, packet, message):
+    snap = tmp_path / "out.qcas"
+    obs = tmp_path / "obs.csv"
+    code, out, err = _run(
+        capsys,
+        ["evolve", "--builtin", "bcc-a-plus", "--sizes", "8,8,8",
+         "--packet", packet, "--steps", "2",
+         "--snapshot", str(snap), "--observables", str(obs)],
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not snap.exists() and not obs.exists()
+
+
 def test_report_escapes_control_characters():
     text = "a\nb\t\x01"
     doc = serialize.report_document({"name": text, "plain": 'q"uo\\te/é'})

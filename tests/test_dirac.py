@@ -8,7 +8,7 @@ import scipy.linalg
 
 from qca import dirac, weyl
 from qca.errors import BranchPointError
-from qca.pauli import dagger, maxabs, principal_phase
+from qca.pauli import PAULI, dagger, maxabs, principal_phase
 
 V3 = weyl.WeylVariant(3)
 V2 = weyl.WeylVariant(2)
@@ -231,6 +231,61 @@ def test_coupling_residual_decoupled():
         1.0, 0.0, 0.0, 1.0, np.eye(2), np.eye(2), V3, ks
     )
     assert res < 1e-14
+
+
+def _family_member(gamma, delta, m, block):
+    """e^{i gamma} [[n e^{i delta} W', i m X], [i m X, n e^{-i delta} W]] as
+    the probe's 12 complex parameters, with X = Y = block."""
+    n = np.sqrt(1.0 - m * m)
+    g = np.exp(1j * gamma)
+    head = g * np.array([n * np.exp(1j * delta), 1j * m, 1j * m, n * np.exp(-1j * delta)])
+    return np.concatenate([head, block.ravel(), block.ravel()])
+
+
+@pytest.mark.parametrize("m", [0.0, 0.3, 0.8])
+@pytest.mark.parametrize("variant, adjoint_first, block", [
+    (V3, True, np.eye(2)),
+    (V2, True, np.eye(2)),
+    (V1, True, np.eye(2)),
+    # In one dimension sigma_x W^+ sigma_x = W, so conjugating the member by
+    # diag(sigma_x, I) puts it in the W' = W arrangement.
+    (V1, False, PAULI[0]),
+], ids=["3d-adjoint", "2d-adjoint", "1d-adjoint", "1d-plain"])
+def test_dressed_family_fit_recovers_constructed_members(variant, adjoint_first, block, m):
+    ks = np.random.default_rng(21).uniform(-1.5, 1.5, size=(50, variant.dimension))
+    z = _family_member(0.7, 0.25, m, block)
+    fit = dirac._dressed_family_fit(variant, z, ks, adjoint_first)
+    assert fit is not None
+    _, _, nu, worst = fit
+    assert abs(nu - np.sqrt(1.0 - m * m)) <= 1e-9
+    assert worst <= 1e-9
+
+
+def test_dressed_family_fit_rejects_non_unitary_witness():
+    ks = np.random.default_rng(22).uniform(-1.5, 1.5, size=(50, 3))
+    z = np.concatenate([[1.0, 0.4, 0.4, 0.4], np.eye(2).ravel(), np.eye(2).ravel()])
+    assert dirac._dressed_family_fit(V3, z.astype(complex), ks, True) is None
+
+
+def test_probe_counts_optimizer_failures(monkeypatch):
+    import scipy.optimize
+
+    real = scipy.optimize.least_squares
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("optimizer hiccup")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", flaky)
+    report = dirac.uniqueness_probe(n_seeds=5, seed=4, n_k_verify=25)
+    assert len(calls) == 5
+    assert report["optimizer_failures"] == 1
+    classes = (report["decoupled_endpoint"] + report["flip_endpoint"]
+               + report["dressed_family"] + report["off_family_hits"])
+    assert classes == report["converged_unitary"] <= report["trials"] - 1
 
 
 def test_d1_decomposes_into_identical_pair():
