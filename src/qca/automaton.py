@@ -133,10 +133,8 @@ class UnitarityReport:
 
     @property
     def max_residual(self):
-        worst = max(self.completeness_left, self.completeness_right)
-        for left, right in self.offdiagonal.values():
-            worst = max(worst, left, right)
-        return worst
+        values = [v for pair in self.offdiagonal.values() for v in pair]
+        return maxabs([self.completeness_left, self.completeness_right] + values)
 
     def as_dict(self):
         return {
@@ -218,10 +216,7 @@ def extract_transition_matrices(f, presentation, support, tol=1e-9, drop_tol=1e-
     support = tuple(support)
     coords = {lab: np.asarray(presentation.coordinates[lab], dtype=int) for lab in support}
     d = presentation.dimension
-    degree = [0] * d
-    for m in coords.values():
-        for j in range(d):
-            degree[j] = max(degree[j], abs(int(m[j])))
+    degree = [max((abs(int(m[j])) for m in coords.values()), default=0) for j in range(d)]
     grid = [2 * g + 1 for g in degree]
     probe = f(presentation.k_of_theta(np.zeros(d)))
     s = probe.shape[0]

@@ -141,24 +141,25 @@ def _cmd_evolve(args):
         raise QcaError("--steps must be positive")
     if args.record_every < 0:
         raise QcaError("--record-every must be non-negative")
-    plan = evolution.SpectralPlan(descriptor, sizes)
-    # The state stays in mode space; only the snapshot needs an inverse FFT.
-    hat = evolution.to_modes(evolution.make_packet(spec, descriptor, lattice, plan=plan))
+    # The state stays on the packet's modes; only the snapshot needs an
+    # inverse FFT.
+    plan, hat = evolution.packet_modes(spec, descriptor, lattice)
     basis = descriptor.presentation.basis_matrix
 
     stride = args.record_every or max(1, args.steps // 50)
-    start = evolution.mode_moments(hat)
+    start = evolution.mode_moments(hat, plan.modes)
     rows = []
     recorded = 0
     while recorded < args.steps:
         advance = min(stride, args.steps - recorded)
         hat = plan.advance(hat, advance)
         recorded += advance
-        moments = evolution.mode_moments(hat)
+        moments = evolution.mode_moments(hat, plan.modes)
         rows.append([recorded, moments.norm] + [float(v) for v in basis @ moments.means])
 
     if args.snapshot:
-        serialize.save_snapshot(evolution.from_modes(hat, lattice, recorded), args.snapshot)
+        state = evolution.from_modes(plan.modes.scatter(hat), lattice, recorded)
+        serialize.save_snapshot(state, args.snapshot)
     if args.observables:
         d = descriptor.presentation.dimension
         header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]
@@ -186,6 +187,8 @@ def _cmd_evolve(args):
 # -------------------------------------------------------------- maxwell
 
 def _cmd_maxwell(args):
+    if not (np.isfinite(args.dt) and args.dt > 0):
+        raise QcaError("--dt must be positive and finite")
     variant = weyl.variant_by_name(args.variant)
     rng = np.random.default_rng(args.seed)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -265,6 +268,11 @@ def _cmd_tile(args):
 # --------------------------------------------------------- dirac-search
 
 def _cmd_dirac_search(args):
+    for flag, count in (("--samples", args.samples), ("--k-samples", args.k_samples)):
+        if count < 1:
+            raise QcaError(f"{flag} must be at least 1")
+    if not (np.isfinite(args.tolerance) and args.tolerance > 0):
+        raise QcaError("--tolerance must be positive and finite")
     variant = weyl.variant_by_name(args.variant)
     report = dirac.uniqueness_probe(
         variant=variant,

@@ -1,13 +1,15 @@
 """Finite periodic-lattice field states and their unitary evolution.
 
 States live on a torus of group coordinates with one complex amplitude per
-(site, internal index).  Evolution is exact in the wave-vector picture:
-an FFT block-diagonalizes the step into one small unitary per lattice mode.
-A SpectralPlan builds those unitaries once per (rule, torus) and raises them
-to any step count, in closed form for the Weyl and Dirac rules; packets and
-their moments can be built and read in mode space, so a run needs an inverse
-FFT only for a snapshot.  A direct neighborhood-sum step is kept as the
-independent oracle.
+(site, internal index).  Evolution is exact in the wave-vector picture: an
+FFT block-diagonalizes the step into one small unitary per lattice mode, and
+an empty mode stays empty.  A run holds only the modes its packet occupies
+(Modes: grid indices plus a flat stack of amplitudes), so memory scales with
+that support; a dense state holds every mode.  A SpectralPlan builds the
+held modes' unitaries once and raises them to any step count, in closed form
+for the Weyl and Dirac rules; packets and moments live in mode space, and a
+snapshot is a run's only inverse FFT.  A direct neighborhood-sum step is
+kept as the independent oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -29,7 +31,6 @@ from .pauli import dagger, maxabs
 # A plan takes the closed-form power when ||W + W^dagger - 2cI|| stays below
 # this on every mode.
 _CLOSED_FORM_TOL = 1e-12
-_PLAN_CHUNK = 1 << 14
 _BRANCH_GAP = 1e-8
 
 
@@ -102,9 +103,49 @@ def _theta_axes(sizes):
     return [2.0 * np.pi * np.fft.fftfreq(n) for n in sizes]
 
 
-def mode_matrices(descriptor, sizes):
-    """Stacked per-mode step operators over the FFT grid, shape (*sizes, s, s)."""
-    return assemble(descriptor.rule, descriptor.presentation, np.ix_(*_theta_axes(sizes)))
+class Modes:
+    """The modes a run holds: increasing C-order flat indices `index` into
+    the FFT grid `sizes`, every mode when omitted.  Their amplitudes are a
+    flat stack of shape (len(index), s)."""
+
+    def __init__(self, sizes, index=None):
+        self.sizes = tuple(int(n) for n in sizes)
+        self.count = int(np.prod(self.sizes))
+        self.index = np.arange(self.count) if index is None else np.asarray(index)
+        self._neighbors = None
+
+    def angles(self):
+        """Group-coordinate angles of the held modes, as `assemble` takes them."""
+        axes = _theta_axes(self.sizes)
+        if len(self.index) == self.count:
+            return np.ix_(*axes)  # every mode: an open mesh, separable phases
+        return [a[c] for a, c in zip(axes, np.unravel_index(self.index, self.sizes))]
+
+    def neighbors(self):
+        """Per axis j, the row of each held mode's neighbor k - e_j (mod n_j),
+        or -1 where that neighbor is not held; built on first use."""
+        if self._neighbors is None:
+            coords = np.unravel_index(self.index, self.sizes)
+            self._neighbors = []
+            for j, n in enumerate(self.sizes):
+                flat = np.ravel_multi_index(
+                    coords[:j] + ((coords[j] - 1) % n,) + coords[j + 1:], self.sizes
+                )
+                rows = np.searchsorted(self.index, flat) % len(self.index)
+                self._neighbors.append(np.where(self.index[rows] == flat, rows, -1))
+        return self._neighbors
+
+    def scatter(self, hat):
+        """Grid-shaped mode amplitudes: `hat` on the held modes, zero elsewhere."""
+        dense = np.zeros((self.count, hat.shape[-1]), dtype=complex)
+        dense[self.index] = hat
+        return dense.reshape(self.sizes + hat.shape[-1:])
+
+
+def mode_matrices(descriptor, modes):
+    """Stacked per-mode step operators of the held modes, shape (len(modes.index), s, s)."""
+    s = descriptor.internal_dim
+    return assemble(descriptor.rule, descriptor.presentation, modes.angles()).reshape(-1, s, s)
 
 
 def _apply(mats, hat):
@@ -112,41 +153,32 @@ def _apply(mats, hat):
 
 
 class SpectralPlan:
-    """The per-mode step of one automaton on one torus, built once per run.
+    """The per-mode step of one automaton on the held modes of one torus,
+    built once per run.
 
-    Each mode carries one small unitary W, stored with c = Re tr W / s and
-    sin(w) = ||W - cI||_F / sqrt(s).  When W + W^dagger = 2cI on every mode,
-    as for every Weyl and Dirac rule, W^n has the closed form
-    cos(nw) I + sin(nw)/sin(w) (W - cI) and costs the same for any n.  Any
-    other rule (tilings, user descriptors) takes batched matrix powers,
-    cached once per step count.
+    `index` selects the modes as in Modes; every mode is held when it is
+    omitted.  Each mode carries one small unitary W, stored flat with
+    c = Re tr W / s and sin(w) = ||W - cI||_F / sqrt(s).  When W + W^dagger
+    = 2cI on every held mode, as for every Weyl and Dirac rule, W^n has the
+    closed form cos(nw) I + sin(nw)/sin(w) (W - cI) and costs the same for
+    any n.  Any other rule (tilings, user descriptors) takes batched matrix
+    powers, cached once per step count.
     """
 
-    def __init__(self, descriptor, sizes):
-        sizes = tuple(int(n) for n in sizes)
+    def __init__(self, descriptor, sizes, index=None):
         if len(sizes) != descriptor.presentation.dimension:
             raise ValueError("one size per lattice dimension required")
         self.descriptor = descriptor
-        self.sizes = sizes
-        self.mats = mode_matrices(descriptor, sizes)
+        self.modes = Modes(sizes, index)
+        self.mats = mode_matrices(descriptor, self.modes)
         s = descriptor.internal_dim
-        flat = self.mats.reshape(-1, s, s)
-        cos = np.empty(len(flat))
-        sin = np.empty(len(flat))
-        defect = 0.0
-        # Chunks keep the W - cI temporaries small next to the stored stack.
-        for lo in range(0, len(flat), _PLAN_CHUNK):
-            w = flat[lo:lo + _PLAN_CHUNK]
-            c = np.trace(w, axis1=1, axis2=2).real / s
-            shifted = w - c[:, None, None] * np.eye(s)
-            cos[lo:lo + _PLAN_CHUNK] = c
-            sin[lo:lo + _PLAN_CHUNK] = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
-            defect = max(defect, maxabs(shifted + dagger(shifted)))
-        self.cos = cos.reshape(sizes)
-        self.sin = sin.reshape(sizes)
+        self.cos = np.trace(self.mats, axis1=1, axis2=2).real / s
+        shifted = self.mats - self.cos[:, None, None] * np.eye(s)
+        self.sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
         # atan2 rather than arccos keeps full precision where sin(w) -> 0.
         self.omega = np.arctan2(self.sin, self.cos)
-        self.closed_form = defect <= _CLOSED_FORM_TOL
+        # maxabs propagates NaN, and NaN fails the test: no closed form then.
+        self.closed_form = maxabs(shifted + dagger(shifted)) <= _CLOSED_FORM_TOL
         self._powers = {}
 
     def _power(self, steps):
@@ -163,7 +195,7 @@ class SpectralPlan:
         return self._powers[steps]
 
     def advance(self, hat, steps):
-        """Mode amplitudes after `steps` applications of the step."""
+        """Amplitudes of the held modes after `steps` applications of the step."""
         if hat.shape != self.mats.shape[:-1]:
             raise ValueError(f"mode amplitudes {hat.shape} do not fit the plan")
         if steps < 0:
@@ -175,20 +207,20 @@ class SpectralPlan:
         cos_n, ratio = self._power(steps)
         # cos(nw) hat + sin(nw)/sin(w) (W - cI) hat, with no stored W - cI.
         out = _apply(self.mats, hat)
-        out -= self.cos[..., None] * hat
-        out *= ratio[..., None]
-        out += cos_n[..., None] * hat
+        out -= self.cos[:, None] * hat
+        out *= ratio[:, None]
+        out += cos_n[:, None] * hat
         return out
 
 
 def to_modes(state):
-    """Mode amplitudes fftn(psi) over the lattice axes."""
+    """Mode amplitudes fftn(psi) over the lattice axes, grid-shaped."""
     axes = tuple(range(state.lattice.presentation.dimension))
     return np.fft.fftn(state.amplitudes, axes=axes)
 
 
 def from_modes(hat, lattice, time):
-    """The lattice state whose mode amplitudes are `hat`."""
+    """The lattice state whose grid-shaped mode amplitudes are `hat`."""
     amps = np.fft.ifftn(hat, axes=tuple(range(lattice.presentation.dimension)))
     return FieldState(lattice=lattice, internal_dim=hat.shape[-1], amplitudes=amps,
                       time=time)
@@ -197,8 +229,9 @@ def from_modes(hat, lattice, time):
 def step_spectral(state, descriptor, steps):
     """Evolve by `steps` applications of the global step, in the mode picture.
 
-    fftn, then the SpectralPlan power of every per-mode operator, then ifftn;
-    for the catalog rules the cost and the roundoff do not grow with `steps`.
+    fftn, then the power of every mode's operator from a SpectralPlan that
+    holds every mode, then ifftn; for the catalog rules the cost and the
+    roundoff do not grow with `steps`.
     """
     _check_compatible(state, descriptor)
     if steps == 0:
@@ -206,8 +239,9 @@ def step_spectral(state, descriptor, steps):
     if steps < 0:
         raise ValueError("steps must be non-negative")
     plan = SpectralPlan(descriptor, state.lattice.sizes)
-    return from_modes(plan.advance(to_modes(state), steps), state.lattice,
-                      state.time + steps)
+    hat = to_modes(state)
+    out = plan.advance(hat.reshape(-1, state.internal_dim), steps)
+    return from_modes(out.reshape(hat.shape), state.lattice, state.time + steps)
 
 
 @dataclass(frozen=True)
@@ -254,18 +288,22 @@ def _branch_projectors(mats, branch):
     return out
 
 
-def make_packet(spec, descriptor, lattice, plan=None):
-    """Gaussian envelope times the branch eigenvector, localized at center_x.
+def packet_modes(spec, descriptor, lattice, plan=None):
+    """Gaussian envelope times the branch eigenvector, localized at center_x,
+    as amplitudes of the modes it occupies.
 
-    The envelope is checked to be below 1e-12 at the aliasing seam of the
-    mode grid (the band edge); wider packets raise ZoneLeakError.  The
-    per-mode operators come from `plan`, which is built when omitted.
+    The packet occupies the modes where the envelope exceeds 1e-14.  Returns
+    a SpectralPlan that holds them (`plan` when given, which must hold every
+    one; otherwise one built on exactly these modes) and the amplitudes of
+    the plan's modes, normalized by Parseval so that the lattice state has
+    norm 1.  The envelope is checked to be below 1e-12 at the aliasing seam
+    of the mode grid (the band edge); wider packets raise ZoneLeakError.
     """
     if lattice.presentation != descriptor.presentation:
         raise ValueError("lattice and descriptor use different presentations")
     pres = descriptor.presentation
     d = pres.dimension
-    sizes = lattice.sizes
+    sizes = tuple(lattice.sizes)
     s = descriptor.internal_dim
     k0 = np.asarray(spec.center_k, dtype=float)
     theta0 = pres.theta_of(k0)
@@ -285,17 +323,23 @@ def make_packet(spec, descriptor, lattice, plan=None):
                 f"sigma_k={spec.sigma_k} leaks past the mode-grid seam on axis {j}"
             )
 
+    envelope = envelope.ravel()
+    index = np.flatnonzero(envelope > 1e-14)
+    if index.size == 0:
+        raise ValueError(f"sigma_k={spec.sigma_k} is narrower than the mode grid")
     if plan is None:
-        plan = SpectralPlan(descriptor, sizes)
-    elif plan.descriptor is not descriptor or plan.sizes != tuple(sizes):
+        plan = SpectralPlan(descriptor, sizes, index)
+    elif plan.descriptor is not descriptor or plan.modes.sizes != sizes:
         raise ValueError("the plan was built for another descriptor or lattice")
+    rows = np.searchsorted(plan.modes.index, index) % len(plan.modes.index)
+    if np.any(plan.modes.index[rows] != index):
+        raise ValueError("the plan does not hold every mode of the packet")
 
     # One eig call: the reference operator A(theta0) heads the stack of the
-    # significant modes.
-    significant = envelope > 1e-14
+    # packet's modes.
     reference = assemble(descriptor.rule, pres, theta0)
     projectors = _branch_projectors(
-        np.concatenate([reference.reshape(1, s, s), plan.mats[significant]]), spec.branch
+        np.concatenate([reference.reshape(1, s, s), plan.mats[rows]]), spec.branch
     )
     ref_proj = projectors[0]
     # The first column of (nearly) largest norm: symmetric rules tie exactly,
@@ -306,19 +350,26 @@ def make_packet(spec, descriptor, lattice, plan=None):
 
     vecs = projectors[1:] @ ref
     nv = np.linalg.norm(vecs, axis=-1)
-    index = np.nonzero(significant)
+    coords = np.unravel_index(index, sizes)
     x0 = np.asarray(spec.center_x, dtype=float)
-    theta_x0 = sum(thetas[j][index[j]] * x0[j] for j in range(d))
+    theta_x0 = sum(thetas[j][coords[j]] * x0[j] for j in range(d))
     # A branch subspace orthogonal to the reference is a tail mode: left empty.
     weight = np.divide(
-        envelope[significant] * np.exp(-1j * theta_x0), nv,
+        envelope[index] * np.exp(-1j * theta_x0), nv,
         out=np.zeros(len(nv), dtype=complex), where=nv >= 1e-12,
     )
-    hat = np.zeros(tuple(sizes) + (s,), dtype=complex)
-    hat[significant] = weight[:, None] * vecs
+    amps = weight[:, None] * vecs
+    # Parseval: sum_x |psi(x)|^2 = sum_k |psi_hat(k)|^2 / N.
+    amps *= np.sqrt(plan.modes.count) / np.linalg.norm(amps)
+    hat = np.zeros((len(plan.modes.index), s), dtype=complex)
+    hat[rows] = amps
+    return plan, hat
 
-    state = from_modes(hat, lattice, 0)
-    return replace(state, amplitudes=state.amplitudes / state.norm())
+
+def make_packet(spec, descriptor, lattice, plan=None):
+    """The packet of packet_modes as a normalized lattice state."""
+    plan, hat = packet_modes(spec, descriptor, lattice, plan)
+    return from_modes(plan.modes.scatter(hat), lattice, 0)
 
 
 class Moments(NamedTuple):
@@ -349,16 +400,21 @@ def _lattice_moments(state):
     return _moments(z, float(np.sum(weights)), sizes)
 
 
-def mode_moments(hat):
+def mode_moments(hat, modes=None):
     """Moments of |psi|^2 read off the mode amplitudes, with no inverse FFT.
 
-    With numpy's fftn sign convention, sum_x |psi(x)|^2 exp(2 pi i x_j / n_j)
-    = sum_k psi_hat(k)^dagger psi_hat(k - e_j) / N.
+    `hat` holds the amplitudes of `modes`, or is grid-shaped when `modes` is
+    omitted.  With numpy's fftn sign convention, sum_x |psi(x)|^2
+    exp(2 pi i x_j / n_j) = sum_k psi_hat(k)^dagger psi_hat(k - e_j) / N,
+    where a neighbor k - e_j that is not held is empty.
     """
-    sizes = hat.shape[:-1]
-    count = int(np.prod(sizes))
-    z = [np.vdot(hat, np.roll(hat, 1, axis=j)) / count for j in range(len(sizes))]
-    return _moments(z, np.vdot(hat, hat).real / count, sizes)
+    if modes is None:
+        modes = Modes(hat.shape[:-1])
+        hat = hat.reshape(-1, hat.shape[-1])
+    # The appended zero row is every neighbor that is not held (row -1).
+    padded = np.concatenate([hat, np.zeros((1, hat.shape[-1]))])
+    z = [np.vdot(hat, padded[rows]) / modes.count for rows in modes.neighbors()]
+    return _moments(z, np.vdot(hat, hat).real / modes.count, modes.sizes)
 
 
 def mean_position(state):
@@ -408,10 +464,9 @@ def coarse_presentation(tiling):
     """
     parent = tiling.parent
     d = parent.dimension
-    basis = tiling.basis_matrix  # columns, parent free coords
-    embed = parent.basis_matrix @ basis  # columns, Cartesian
-
-    needed = set()
+    embed = parent.basis_matrix @ tiling.basis_matrix  # columns, Cartesian
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    needed = set(units)
     for rep in tiling.coset_reps:
         for label in list(parent.signed_labels()) + [IDENTITY_LABEL]:
             shift = np.asarray(rep, dtype=int) - np.asarray(
@@ -420,45 +475,22 @@ def coarse_presentation(tiling):
             _, g = tiling.decompose(shift)
             if any(g):
                 needed.add(tuple(int(v) for v in -g))
-    for j in range(d):
-        unit = tuple(1 if i == j else 0 for i in range(d))
-        needed.add(unit)
-
-    def _canonical(coords):
-        for v in coords:
-            if v > 0:
-                return coords
-            if v < 0:
-                return tuple(-w for w in coords)
-        return coords
-
-    positives = sorted({_canonical(coords) for coords in needed})
-
-    gens = []
-    for i, coords in enumerate(positives):
-        label = f"t{i + 1}"
-        disp = tuple(float(v) for v in embed @ np.asarray(coords, dtype=float))
-        gens.append((label, disp, coords))
-
-    # Free basis: the standard sublattice directions, which are always present
-    # because the canonical ordering keeps the positive unit vectors.
-    unit_labels = []
-    for j in range(d):
-        unit = tuple(1 if i == j else 0 for i in range(d))
-        for label, _, coords in gens:
-            if coords == unit:
-                unit_labels.append(label)
-                break
-
-    generator_objs = tuple(
-        Generator(label, disp, inverse_label(label)) for label, disp, _ in gens
+    # One generator per displacement up to sign, its first nonzero coordinate
+    # positive; the free basis is the unit directions, which stay as they are.
+    positives = sorted({c if next(v for v in c if v) > 0 else tuple(-v for v in c)
+                        for c in needed})
+    labels = {coords: f"t{i + 1}" for i, coords in enumerate(positives)}
+    generators = tuple(
+        Generator(label, tuple(float(v) for v in embed @ np.asarray(coords, dtype=float)),
+                  inverse_label(label))
+        for coords, label in labels.items()
     )
     zone = voronoi_zone(2.0 * np.pi * np.linalg.inv(embed.T), kind="voronoi")
     pres = CayleyPresentation(
         dimension=d,
-        generators_plus=generator_objs,
+        generators_plus=generators,
         relators=(),
-        free_basis=tuple(unit_labels),
+        free_basis=tuple(labels[unit] for unit in units),
         bz=zone,
         kind="tiled",
     )
@@ -477,10 +509,8 @@ def tile_descriptor(descriptor, tiling):
     r = tiling.index
     s = descriptor.internal_dim
     coarse_pres = coarse_presentation(tiling)
-    coords_to_label = {}
-    for label in coarse_pres.signed_labels():
-        coords_to_label[tuple(coarse_pres.coordinates[label])] = label
-    coords_to_label[tuple([0] * pres.dimension)] = IDENTITY_LABEL
+    # Every signed label and the identity "e" at (0, ..., 0).
+    coords_to_label = {tuple(c): label for label, c in coarse_pres.coordinates.items()}
 
     blocks = {}
     for i, rep in enumerate(tiling.coset_reps):
@@ -489,11 +519,9 @@ def tile_descriptor(descriptor, tiling):
                 pres.coordinates[label], dtype=int
             )
             j, g = tiling.decompose(shift)
-            key = tuple(int(v) for v in -g)
-            coarse_label = coords_to_label[key]
-            if coarse_label not in blocks:
-                blocks[coarse_label] = np.zeros((s * r, s * r), dtype=complex)
-            blocks[coarse_label][i * s:(i + 1) * s, j * s:(j + 1) * s] += block
+            coarse = blocks.setdefault(coords_to_label[tuple(int(v) for v in -g)],
+                                       np.zeros((s * r, s * r), dtype=complex))
+            coarse[i * s:(i + 1) * s, j * s:(j + 1) * s] += block
 
     rule = TransitionRule(entries=blocks, internal_dim=s * r)
     name = f"{descriptor.name}/tiled-x{r}" if descriptor.name else f"tiled-x{r}"

@@ -117,14 +117,14 @@ class MaxwellReport:
 
     @property
     def max_residual(self):
-        return max(
+        return maxabs([
             self.rotation_vs_spinor,
             self.finite_difference,
             self.transversality_e,
             self.transversality_b,
             self.dynamics_e,
             self.dynamics_b,
-        )
+        ])
 
     def as_dict(self):
         return {
@@ -152,31 +152,31 @@ def mode_maxwell_residual(psi_amp, phi_amp, k, dt, times=(0.0, 1.0, 2.5),
     def g_t(t):
         return transverse_bilinear(psi_amp, phi_amp, k, t, variant)
 
-    rot_res = 0.0
-    for t in np.linspace(0.0, t_max, 9):
-        rot_res = max(rot_res, maxabs(rotation_form(psi_amp, phi_amp, k, t, variant) - g_t(t)))
+    rot_res = maxabs([rotation_form(psi_amp, phi_amp, k, t, variant) - g_t(t)
+                      for t in np.linspace(0.0, t_max, 9)])
 
-    fd_res = he_res = hb_res = de_res = db_res = 0.0
+    # Residuals are stacked and reduced by maxabs, which keeps a NaN that
+    # max(acc, nan) would drop.
+    fd, he, hb, de, db = [], [], [], [], []
     n = helicity_half(k, variant)
     for t in times:
         plus, mid, minus = g_t(t + dt), g_t(t), g_t(t - dt)
-        deriv = (plus - minus) / (2.0 * dt)
-        fd_res = max(fd_res, maxabs(deriv - np.cross(omega_vec, mid)))
+        fd.append((plus - minus) / (2.0 * dt) - np.cross(omega_vec, mid))
         e_mid, b_mid = electric_magnetic(mid, k, variant)
         e_deriv = (np.stack(electric_magnetic(plus, k, variant))
                    - np.stack(electric_magnetic(minus, k, variant))) / (2.0 * dt)
-        he_res = max(he_res, maxabs(2.0 * n @ e_mid))
-        hb_res = max(hb_res, maxabs(2.0 * n @ b_mid))
-        de_res = max(de_res, maxabs(e_deriv[0] - np.cross(omega_vec, e_mid)))
-        db_res = max(db_res, maxabs(e_deriv[1] - np.cross(omega_vec, b_mid)))
+        he.append(2.0 * n @ e_mid)
+        hb.append(2.0 * n @ b_mid)
+        de.append(e_deriv[0] - np.cross(omega_vec, e_mid))
+        db.append(e_deriv[1] - np.cross(omega_vec, b_mid))
 
     return MaxwellReport(
         rotation_vs_spinor=rot_res,
-        finite_difference=fd_res,
-        transversality_e=he_res,
-        transversality_b=hb_res,
-        dynamics_e=de_res,
-        dynamics_b=db_res,
+        finite_difference=maxabs(fd),
+        transversality_e=maxabs(he),
+        transversality_b=maxabs(hb),
+        dynamics_e=maxabs(de),
+        dynamics_b=maxabs(db),
     )
 
 
@@ -213,12 +213,8 @@ def angular_momentum_identity_residual(v):
     u = su2_exp(v / 2.0)
     udag = u.conj().T
     rot = rotation_about(-v)
-    worst = 0.0
-    for i in range(3):
-        lhs = u @ PAULI[i] @ udag
-        rhs = sum(rot[i, j] * PAULI[j] for j in range(3))
-        worst = max(worst, maxabs(lhs - rhs))
-    return worst
+    return maxabs([u @ PAULI[i] @ udag - sum(rot[i, j] * PAULI[j] for j in range(3))
+                   for i in range(3)])
 
 
 def precession_deviation(k, variant=_DEFAULT_VARIANT):

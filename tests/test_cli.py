@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qca import catalog, serialize
+from qca import catalog, dirac, serialize
 from qca.cli import main
 
 
@@ -220,6 +220,36 @@ def test_dirac_search_report(capsys):
     doc = json.loads(out)
     assert doc["trials"] == 4
     assert doc["off_family_hits"] == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "0"], "--samples"),
+    (["--samples", "-2"], "--samples"),
+    (["--samples", "3", "--k-samples", "0"], "--k-samples"),
+    (["--k-samples=-1"], "--k-samples"),
+    (["--tolerance", "0"], "--tolerance"),
+    (["--tolerance=-1"], "--tolerance"),
+    (["--tolerance", "nan"], "--tolerance"),
+    (["--tolerance", "inf"], "--tolerance"),
+])
+def test_dirac_search_rejects_bad_arguments_before_any_work(capsys, monkeypatch, flags,
+                                                            message):
+    def probe(**kwargs):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(dirac, "uniqueness_probe", probe)
+    code, out, err = _run(capsys, ["dirac-search"] + flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("dt", ["0", "-1e-3", "nan", "inf"])
+def test_maxwell_rejects_bad_dt(capsys, dt):
+    code, out, err = _run(capsys, ["maxwell", "--k", "0.1,0,0", f"--dt={dt}"])
+    assert code == 2
+    assert out == ""
+    assert "--dt" in err
 
 
 def test_unknown_flag_usage_error(capsys):

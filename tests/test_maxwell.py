@@ -93,6 +93,18 @@ def test_finite_difference_residual_converges_quadratically():
     assert abs(slope - 2.0) < 0.2
 
 
+def test_residuals_propagate_nan():
+    # dt = 0 makes every central difference 0/0; max(0.0, nan) would hide it.
+    psi, phi = _random_spinors(7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = maxwell.mode_maxwell_residual(psi, phi, np.array([0.1, 0.0, 0.0]), 0.0)
+    assert report.rotation_vs_spinor < 1e-11
+    assert report.transversality_e < 1e-13
+    for value in (report.finite_difference, report.dynamics_e, report.dynamics_b,
+                  report.max_residual):
+        assert np.isnan(value)
+
+
 def test_field_equations_residuals_small():
     psi, phi = _random_spinors(5)
     k = np.array([0.3, 0.5, -0.1])

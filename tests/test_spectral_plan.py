@@ -176,6 +176,64 @@ def test_mode_moments_match_real_space(name, mass, sizes, k0, sigma):
         assert abs(moments.norm - state.norm()) < 1e-12
 
 
+def _first_moments(moments, sizes):
+    return moments.resultants * np.exp(2j * np.pi * moments.means / np.asarray(sizes))
+
+
+def _assert_moments_match(moments, state):
+    # The circular first moments R exp(2 pi i mean / n) rather than the means:
+    # a mean is ill-conditioned once the packet has spread round the torus
+    # (R -> 0 after 10^4 steps on 6 sites).
+    sizes = state.lattice.sizes
+    real = evolution._lattice_moments(state)
+    assert maxabs(_first_moments(moments, sizes) - _first_moments(real, sizes)) < 1e-12
+    assert abs(moments.norm - state.norm()) < 1e-12
+
+
+_FACE = 0.97 * np.sqrt(3.0) * np.pi / 2.0
+SUPPORT_CASES = {
+    # k0 = 0 (a band-touching mode): the support wraps across mode index 0.
+    "bcc-wraps-index-0": ("bcc-a-plus", None, (6, 6, 6), (0.0, 0.0, 0.0), 0.2),
+    # 3% inside the zone face k . (1, 1, 0) = sqrt(3) pi, where theta_1 = pi.
+    "bcc-zone-face": ("bcc-a-plus", None, (6, 6, 6), (_FACE, _FACE, 0.0), 0.2),
+    "dirac-degenerate": ("dirac-3d", 0.3, (6, 6, 6), (0.2, 0.1, -0.3), 0.25),
+    # The envelope exceeds 1e-14 on every mode and is 6e-14 at the seam.
+    "weyl-1d-whole-grid": ("weyl-1d", None, (16,), (0.5,), 0.285),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUPPORT_CASES))
+def test_support_plan_matches_dense_plan_and_direct(case):
+    name, mass, sizes, k0, sigma = SUPPORT_CASES[case]
+    descriptor = _descriptor(name, mass)
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    spec = evolution.WavePacketSpec(k0, sigma, tuple(n // 3 for n in sizes), "plus")
+    plan, hat = evolution.packet_modes(spec, descriptor, lattice)
+    held = len(plan.modes.index)
+    coords = np.unravel_index(plan.modes.index, sizes)
+    if case == "weyl-1d-whole-grid":
+        assert held == plan.modes.count
+    else:
+        assert held < plan.modes.count / 2
+    if case == "bcc-wraps-index-0":
+        assert all({0, n - 1} <= set(c.tolist()) for c, n in zip(coords, sizes))
+    if case == "bcc-zone-face":
+        pres = descriptor.presentation
+        assert pres.bz.contains(k0) and not pres.bz.contains(np.asarray(k0) / 0.95)
+    state = evolution.make_packet(spec, descriptor, lattice)
+    assert abs(state.norm() - 1.0) < 1e-14
+    _assert_moments_match(evolution.mode_moments(hat, plan.modes), state)
+    direct = _direct_checkpoints(state, descriptor)
+    for n in CHECKPOINTS:
+        advanced = plan.advance(hat, n)
+        support = evolution.from_modes(plan.modes.scatter(advanced), lattice, n)
+        dense = evolution.step_spectral(state, descriptor, n)
+        for other in (dense.amplitudes, direct[n]):
+            err = maxabs(support.amplitudes - other)
+            assert err <= TOL[n], f"{n} steps: {err:.2e}"
+        _assert_moments_match(evolution.mode_moments(advanced, plan.modes), support)
+
+
 def _qr_projector(matrix, branch):
     """Per-mode projector as built before the batched one: eig, then qr."""
     vals, vecs = np.linalg.eig(matrix)
