@@ -112,11 +112,15 @@ def assemble(rule, presentation, theta):
     s = rule.internal_dim
     labels = list(rule.entries)
     phases = np.empty((len(labels),) + grid, dtype=complex)
+    # Labels share per-axis factors (h1 and h4^-1 both carry m_1 = 1): one exp each.
+    axis_factors = {}
     for i, label in enumerate(labels):
         factor = np.ones((1,) * len(grid), dtype=complex)
-        for m, t in zip(presentation.coordinates[label], theta):
+        for j, (m, t) in enumerate(zip(presentation.coordinates[label], theta)):
             if m:
-                factor = factor * np.exp(-1j * m * t)
+                if (j, m) not in axis_factors:
+                    axis_factors[j, m] = np.exp(-1j * m * t)
+                factor = factor * axis_factors[j, m]
         phases[i] = factor
     blocks = np.array([rule.entries[label] for label in labels])
     out = phases.reshape(len(labels), -1).T @ blocks.reshape(len(labels), s * s)
@@ -216,7 +220,10 @@ def extract_transition_matrices(f, presentation, support, tol=1e-9, drop_tol=1e-
     support = tuple(support)
     coords = {lab: np.asarray(presentation.coordinates[lab], dtype=int) for lab in support}
     d = presentation.dimension
-    degree = [max((abs(int(m[j])) for m in coords.values()), default=0) for j in range(d)]
+    degree = [0] * d
+    for m in coords.values():
+        for j in range(d):
+            degree[j] = max(degree[j], abs(int(m[j])))
     grid = [2 * g + 1 for g in degree]
     probe = f(presentation.k_of_theta(np.zeros(d)))
     s = probe.shape[0]

@@ -66,9 +66,12 @@ class BrillouinZone:
         k = np.asarray(k, dtype=float)
         for normal, c in self.bounds:
             s = float(np.dot(k, normal))
-            outside = s > c + _EDGE_TOL if self._face_included(normal) else s >= c - _EDGE_TOL
-            if outside:
-                return False
+            if self._face_included(normal):
+                if s > c + _EDGE_TOL:
+                    return False
+            else:
+                if s >= c - _EDGE_TOL:
+                    return False
         return True
 
     def bounding_radius(self):
@@ -122,7 +125,11 @@ class CayleyPresentation:
 
     def signed_labels(self):
         """All generator labels and their inverses (the set S, without 'e')."""
-        return tuple(lab for g in self.generators_plus for lab in (g.label, g.inverse_label))
+        labels = []
+        for g in self.generators_plus:
+            labels.append(g.label)
+            labels.append(g.inverse_label)
+        return tuple(labels)
 
     def theta_of(self, k):
         """Group-coordinate angles theta_j = k . h_j."""
@@ -155,8 +162,13 @@ def _zone_line():
 
 def _zone_square():
     c = np.sqrt(2.0) * np.pi
-    normals = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-    return BrillouinZone("square_2d", tuple((normal, c) for normal in normals))
+    bounds = (
+        ((1.0, 0.0), c),
+        ((-1.0, 0.0), c),
+        ((0.0, 1.0), c),
+        ((0.0, -1.0), c),
+    )
+    return BrillouinZone("square_2d", bounds)
 
 
 def _zone_bcc():
@@ -179,14 +191,23 @@ def voronoi_zone(reciprocal_basis, kind="voronoi"):
     """
     basis = np.asarray(reciprocal_basis, dtype=float)
     d = basis.shape[0]
-    vectors = [basis @ np.asarray(coeffs, dtype=float)
-               for coeffs in product(range(-2, 3), repeat=d) if any(coeffs)]
-    bounds = tuple(
-        (tuple(v), float(np.dot(v, v) / 2.0)) for v in vectors
-        if not any(w is not v and np.dot(v / 2.0, w) > np.dot(w, w) / 2.0 + 1e-12
-                   for w in vectors)
-    )
-    return BrillouinZone(kind, bounds)
+    vectors = []
+    for coeffs in product(range(-2, 3), repeat=d):
+        if any(coeffs):
+            vectors.append(basis @ np.asarray(coeffs, dtype=float))
+    bounds = []
+    for v in vectors:
+        mid = v / 2.0
+        keep = True
+        for w in vectors:
+            if w is v:
+                continue
+            if np.dot(mid, w) > np.dot(w, w) / 2.0 + 1e-12:
+                keep = False
+                break
+        if keep:
+            bounds.append((tuple(v), float(np.dot(v, v) / 2.0)))
+    return BrillouinZone(kind, tuple(bounds))
 
 
 def build_presentation(kind):

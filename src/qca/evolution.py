@@ -116,10 +116,8 @@ class Modes:
 
     def angles(self):
         """Group-coordinate angles of the held modes, as `assemble` takes them."""
-        axes = _theta_axes(self.sizes)
-        if len(self.index) == self.count:
-            return np.ix_(*axes)  # every mode: an open mesh, separable phases
-        return [a[c] for a, c in zip(axes, np.unravel_index(self.index, self.sizes))]
+        coords = np.unravel_index(self.index, self.sizes)
+        return [a[c] for a, c in zip(_theta_axes(self.sizes), coords)]
 
     def neighbors(self):
         """Per axis j, the row of each held mode's neighbor k - e_j (mod n_j),
@@ -411,9 +409,11 @@ def mode_moments(hat, modes=None):
     if modes is None:
         modes = Modes(hat.shape[:-1])
         hat = hat.reshape(-1, hat.shape[-1])
-    # The appended zero row is every neighbor that is not held (row -1).
+    # The appended zero row is every neighbor that is not held (row -1);
+    # np.take gathers rows about twice as fast as fancy indexing.
     padded = np.concatenate([hat, np.zeros((1, hat.shape[-1]))])
-    z = [np.vdot(hat, padded[rows]) / modes.count for rows in modes.neighbors()]
+    z = [np.vdot(hat, np.take(padded, rows, axis=0)) / modes.count
+         for rows in modes.neighbors()]
     return _moments(z, np.vdot(hat, hat).real / modes.count, modes.sizes)
 
 
@@ -464,9 +464,10 @@ def coarse_presentation(tiling):
     """
     parent = tiling.parent
     d = parent.dimension
-    embed = parent.basis_matrix @ tiling.basis_matrix  # columns, Cartesian
-    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    needed = set(units)
+    basis = tiling.basis_matrix  # columns, parent free coords
+    embed = parent.basis_matrix @ basis  # columns, Cartesian
+
+    needed = set()
     for rep in tiling.coset_reps:
         for label in list(parent.signed_labels()) + [IDENTITY_LABEL]:
             shift = np.asarray(rep, dtype=int) - np.asarray(
@@ -475,22 +476,45 @@ def coarse_presentation(tiling):
             _, g = tiling.decompose(shift)
             if any(g):
                 needed.add(tuple(int(v) for v in -g))
-    # One generator per displacement up to sign, its first nonzero coordinate
-    # positive; the free basis is the unit directions, which stay as they are.
-    positives = sorted({c if next(v for v in c if v) > 0 else tuple(-v for v in c)
-                        for c in needed})
-    labels = {coords: f"t{i + 1}" for i, coords in enumerate(positives)}
-    generators = tuple(
-        Generator(label, tuple(float(v) for v in embed @ np.asarray(coords, dtype=float)),
-                  inverse_label(label))
-        for coords, label in labels.items()
+    for j in range(d):
+        unit = tuple(1 if i == j else 0 for i in range(d))
+        needed.add(unit)
+
+    def _canonical(coords):
+        for v in coords:
+            if v > 0:
+                return coords
+            if v < 0:
+                return tuple(-w for w in coords)
+        return coords
+
+    positives = sorted({_canonical(coords) for coords in needed})
+
+    gens = []
+    for i, coords in enumerate(positives):
+        label = f"t{i + 1}"
+        disp = tuple(float(v) for v in embed @ np.asarray(coords, dtype=float))
+        gens.append((label, disp, coords))
+
+    # Free basis: the standard sublattice directions, which are always present
+    # because the canonical ordering keeps the positive unit vectors.
+    unit_labels = []
+    for j in range(d):
+        unit = tuple(1 if i == j else 0 for i in range(d))
+        for label, _, coords in gens:
+            if coords == unit:
+                unit_labels.append(label)
+                break
+
+    generator_objs = tuple(
+        Generator(label, disp, inverse_label(label)) for label, disp, _ in gens
     )
     zone = voronoi_zone(2.0 * np.pi * np.linalg.inv(embed.T), kind="voronoi")
     pres = CayleyPresentation(
         dimension=d,
-        generators_plus=generators,
+        generators_plus=generator_objs,
         relators=(),
-        free_basis=tuple(labels[unit] for unit in units),
+        free_basis=tuple(unit_labels),
         bz=zone,
         kind="tiled",
     )
@@ -509,8 +533,10 @@ def tile_descriptor(descriptor, tiling):
     r = tiling.index
     s = descriptor.internal_dim
     coarse_pres = coarse_presentation(tiling)
-    # Every signed label and the identity "e" at (0, ..., 0).
-    coords_to_label = {tuple(c): label for label, c in coarse_pres.coordinates.items()}
+    coords_to_label = {}
+    for label in coarse_pres.signed_labels():
+        coords_to_label[tuple(coarse_pres.coordinates[label])] = label
+    coords_to_label[tuple([0] * pres.dimension)] = IDENTITY_LABEL
 
     blocks = {}
     for i, rep in enumerate(tiling.coset_reps):
@@ -519,9 +545,11 @@ def tile_descriptor(descriptor, tiling):
                 pres.coordinates[label], dtype=int
             )
             j, g = tiling.decompose(shift)
-            coarse = blocks.setdefault(coords_to_label[tuple(int(v) for v in -g)],
-                                       np.zeros((s * r, s * r), dtype=complex))
-            coarse[i * s:(i + 1) * s, j * s:(j + 1) * s] += block
+            key = tuple(int(v) for v in -g)
+            coarse_label = coords_to_label[key]
+            if coarse_label not in blocks:
+                blocks[coarse_label] = np.zeros((s * r, s * r), dtype=complex)
+            blocks[coarse_label][i * s:(i + 1) * s, j * s:(j + 1) * s] += block
 
     rule = TransitionRule(entries=blocks, internal_dim=s * r)
     name = f"{descriptor.name}/tiled-x{r}" if descriptor.name else f"tiled-x{r}"

@@ -196,7 +196,10 @@ def anticommutator_residual(n_modes=6, max_excitations=2):
     for count in range(1, max_excitations + 1):
         basis.extend(combinations(range(n_modes), count))
     for occ in basis:
-        state = {sum(1 << mode for mode in occ): 1.0 + 0.0j}
+        mask = 0
+        for mode in occ:
+            mask |= 1 << mode
+        state = {mask: 1.0 + 0.0j}
         for i in range(n_modes):
             for j in range(n_modes):
                 ac = {}

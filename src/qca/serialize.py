@@ -170,8 +170,12 @@ def descriptor_from_dict(doc):
 def save_snapshot(state, path):
     """Write the fixed little-endian snapshot layout."""
     sizes = state.lattice.sizes
-    header = struct.pack(f"<4sII{len(sizes)}IIq", SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-                         len(sizes), *sizes, state.internal_dim, state.time)
+    header = SNAPSHOT_MAGIC
+    header += struct.pack("<I", SNAPSHOT_VERSION)
+    header += struct.pack("<I", len(sizes))
+    header += struct.pack(f"<{len(sizes)}I", *sizes)
+    header += struct.pack("<I", state.internal_dim)
+    header += struct.pack("<q", state.time)
     body = np.ascontiguousarray(state.amplitudes, dtype="<c16").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)

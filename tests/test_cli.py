@@ -157,6 +157,8 @@ def test_evolve_rejects_non_positive_steps(capsys):
     ("k0=0.2,0,0;sigma=-0.1", "sigma_k"),
     ("k0=nan,0,0;sigma=0.1", "center_k"),
     ("k0=0.2,inf,0;sigma=0.1", "center_k"),
+    # Halfway between modes on every axis, far narrower than their spacing.
+    ("k0=0.68,0.68,-0.68;sigma=0.001", "narrower than the mode grid"),
 ])
 def test_evolve_rejects_bad_packet_before_any_work(capsys, tmp_path, packet, message):
     snap = tmp_path / "out.qcas"

@@ -291,6 +291,19 @@ def test_make_packet_reuses_plan():
         )
 
 
+def test_packet_modes_rejects_packet_narrower_than_the_mode_grid():
+    descriptor = _descriptor("bcc-a-plus")
+    sizes = (8, 8, 8)
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    # Halfway between two modes on every axis, far narrower than their spacing.
+    k0 = descriptor.presentation.dual_matrix @ np.full(3, np.pi / 8)
+    spec = evolution.WavePacketSpec(tuple(k0), 1e-3, (0, 0, 0), "plus")
+    with pytest.raises(ValueError, match="narrower than the mode grid"):
+        evolution.packet_modes(spec, descriptor, lattice)
+    with pytest.raises(ValueError, match="narrower than the mode grid"):
+        evolution.make_packet(spec, descriptor, lattice)
+
+
 def test_plan_rejects_mismatched_amplitudes():
     plan = evolution.SpectralPlan(_descriptor("weyl-1d"), (16,))
     with pytest.raises(ValueError):
