@@ -20,18 +20,25 @@ from .automaton import (
     extract_transition_matrices,
 )
 from .cayley import IDENTITY_LABEL, build_presentation, inverse_label
+from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 WEYL_NAMES = tuple(weyl_mod.named_variants().keys())
 DIRAC_NAMES = ("dirac-1d", "dirac-2d", "dirac-3d")
 
 
-def _perm_from_plus_map(presentation, mapping):
-    """Extend a permutation of S_+ labels to all signed labels."""
-    perm = {}
-    for src, dst in mapping.items():
-        perm[src] = dst
-        perm[inverse_label(src)] = inverse_label(dst)
-    return perm
+def _isotropy_group(presentation, plus_maps, unitaries):
+    """The checked group of permutations of S_+ labels, each extended to all
+    signed labels and paired with its spinor unitary."""
+    elements = []
+    for mapping, unitary in zip(plus_maps, unitaries):
+        perm = {}
+        for src, dst in mapping.items():
+            perm[src] = dst
+            perm[inverse_label(src)] = inverse_label(dst)
+        elements.append((perm, unitary))
+    group = IsotropyGroup(elements=tuple(elements))
+    group.check_against(presentation)
+    return group
 
 
 def binary_rotation_group(presentation):
@@ -40,37 +47,20 @@ def binary_rotation_group(presentation):
     Spatial action on the four body-diagonal generators paired with the
     spinor representation {I, i sigma_x, i sigma_y, i sigma_z}.
     """
-    from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
-
     identity = {g.label: g.label for g in presentation.generators_plus}
     rot_x = {"h1": "h2", "h2": "h1", "h3": "h4", "h4": "h3"}
     rot_y = {"h1": "h3", "h3": "h1", "h2": "h4", "h4": "h2"}
     rot_z = {"h1": "h4", "h4": "h1", "h2": "h3", "h3": "h2"}
-    elements = (
-        (_perm_from_plus_map(presentation, identity), ID2),
-        (_perm_from_plus_map(presentation, rot_x), 1j * SIGMA_X),
-        (_perm_from_plus_map(presentation, rot_y), 1j * SIGMA_Y),
-        (_perm_from_plus_map(presentation, rot_z), 1j * SIGMA_Z),
-    )
-    group = IsotropyGroup(elements=elements)
-    group.check_against(presentation)
-    return group
+    return _isotropy_group(presentation, (identity, rot_x, rot_y, rot_z),
+                           (ID2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z))
 
 
 def swap_group(presentation):
     """Order-2 group exchanging the two square-lattice generators,
     represented by the spin rotation by pi about the x axis."""
-    from .pauli import ID2, SIGMA_X
-
     identity = {"h1": "h1", "h2": "h2"}
     swap = {"h1": "h2", "h2": "h1"}
-    elements = (
-        (_perm_from_plus_map(presentation, identity), ID2),
-        (_perm_from_plus_map(presentation, swap), -1j * SIGMA_X),
-    )
-    group = IsotropyGroup(elements=elements)
-    group.check_against(presentation)
-    return group
+    return _isotropy_group(presentation, (identity, swap), (ID2, -1j * SIGMA_X))
 
 
 def _isotropy_for(variant, presentation):
@@ -89,7 +79,6 @@ def weyl_descriptor(variant):
         lambda k: weyl_mod.weyl_matrix(variant, k),
         presentation,
         presentation.signed_labels(),
-        tol=1e-9,
     )
     return AutomatonDescriptor(
         presentation=presentation,
@@ -108,7 +97,6 @@ def dirac_descriptor(dd):
         lambda k: dirac_mod.dirac_matrix(dd, k),
         presentation,
         support,
-        tol=1e-9,
     )
     name = f"dirac-{dd.weyl.dimension}d(m={dd.mass})"
     return AutomatonDescriptor(presentation=presentation, rule=rule, name=name)

@@ -25,18 +25,15 @@ def _write(text, path):
 
 
 def _emit_report(payload, args):
-    _write(serialize.report_document(payload), getattr(args, "output", None))
+    _write(serialize.report_document(payload), args.output)
 
 
 def _load_descriptor(args):
-    if getattr(args, "descriptor", None):
+    if args.descriptor:
         return serialize.load_descriptor(args.descriptor)
-    name = getattr(args, "builtin", None)
-    if not name:
+    if not args.builtin:
         raise QcaError("pass --builtin NAME or --descriptor FILE")
-    return catalog.build_descriptor(
-        name, mass=getattr(args, "mass", None), theta=getattr(args, "theta", 0.0)
-    )
+    return catalog.build_descriptor(args.builtin, mass=args.mass, theta=args.theta)
 
 
 def _parse_vector(text, dimension=None):
@@ -297,37 +294,33 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graph", help="emit a canonical graph presentation")
+    def command(name, func, descriptor=False, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        if descriptor:
+            p.add_argument("--builtin", default=None, choices=list(catalog.builtin_names()))
+            p.add_argument("--descriptor", default=None)
+            p.add_argument("--mass", type=float, default=None)
+            p.add_argument("--theta", type=float, default=0.0)
+        return p
+
+    p = command("graph", _cmd_graph, help="emit a canonical graph presentation")
     p.add_argument("--kind", required=True, choices=["line", "square_2d", "bcc_3d"])
-    p.add_argument("--emit", default="json", choices=["json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("validate", help="check unitarity and covariance residuals")
-    p.add_argument("--builtin", default=None, choices=list(catalog.builtin_names()))
-    p.add_argument("--descriptor", default=None)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--theta", type=float, default=0.0)
+    p = command("validate", _cmd_validate, descriptor=True,
+                help="check unitarity and covariance residuals")
     p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--emit", default="json", choices=["json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("dispersion", help="sweep eigenphases over a zone grid")
+    p = command("dispersion", _cmd_dispersion, help="sweep eigenphases over a zone grid")
     p.add_argument("--variant", required=True, choices=list(catalog.WEYL_NAMES))
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--dirac", action="store_true")
     p.add_argument("--mass", type=float, default=0.1)
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--emit", default="csv", choices=["csv", "json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_dispersion)
 
-    p = sub.add_parser("evolve", help="evolve a wave packet and record observables")
-    p.add_argument("--builtin", default=None, choices=list(catalog.builtin_names()))
-    p.add_argument("--descriptor", default=None)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--theta", type=float, default=0.0)
+    p = command("evolve", _cmd_evolve, descriptor=True,
+                help="evolve a wave packet and record observables")
     p.add_argument("--sizes", required=True)
     p.add_argument("--packet", required=True,
                    help="k0=..;sigma=..;x0=..;branch=plus|minus")
@@ -335,52 +328,40 @@ def _build_parser():
     p.add_argument("--record-every", type=int, default=0)
     p.add_argument("--snapshot", default=None)
     p.add_argument("--observables", default=None)
-    p.add_argument("--emit", default="json", choices=["json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("maxwell", help="transverse-field dynamics residuals")
+    p = command("maxwell", _cmd_maxwell, help="transverse-field dynamics residuals")
     p.add_argument("--k", required=True)
     p.add_argument("--time", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--variant", default="bcc-a-plus",
                    choices=[n for n in catalog.WEYL_NAMES if n.startswith("bcc")])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit", default="json", choices=["json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_maxwell)
 
-    p = sub.add_parser("fock", help="pair-operator commutator deviations")
+    p = command("fock", _cmd_fock, help="pair-operator commutator deviations")
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--fill", type=int, default=1)
-    p.add_argument("--emit", default="json", choices=["json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_fock)
 
-    p = sub.add_parser("tile", help="regroup an automaton on a sublattice")
-    p.add_argument("--builtin", default=None, choices=list(catalog.builtin_names()))
-    p.add_argument("--descriptor", default=None)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--theta", type=float, default=0.0)
+    p = command("tile", _cmd_tile, descriptor=True,
+                help="regroup an automaton on a sublattice")
     p.add_argument("--basis", required=True, help="e.g. '2' or '2,0;0,2'")
     p.add_argument("--sizes", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit", default="json", choices=["json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_tile)
 
-    p = sub.add_parser("dirac-search",
-                       help="randomized probe for couplings outside the mass family")
+    p = command("dirac-search", _cmd_dirac_search,
+                help="randomized probe for couplings outside the mass family")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k-samples", type=int, default=50)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--variant", default="bcc-a-plus",
                    choices=list(catalog.WEYL_NAMES))
-    p.add_argument("--emit", default="json", choices=["json"])
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_dirac_search)
 
+    # Every subcommand ends with the JSON emit mode (dispersion declares its
+    # own csv/json --emit) and --output.
+    for name, p in sub.choices.items():
+        if name != "dispersion":
+            p.add_argument("--emit", default="json", choices=["json"])
+        p.add_argument("--output", default=None)
     return parser
 
 

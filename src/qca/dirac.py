@@ -33,6 +33,8 @@ GAMMA0 = np.block([[_Z2, ID2], [ID2, _Z2]])
 GAMMA = tuple(np.block([[_Z2, PAULI[j]], [-PAULI[j], _Z2]]) for j in range(3))
 # gamma0 gamma_j = diag(-sigma_j, sigma_j): the Hermitian kinetic blocks.
 GAMMA0_GAMMA = tuple(GAMMA0 @ GAMMA[j] for j in range(3))
+# Wave-vectors at which the coupling probe's optimizer evaluates the residual.
+_N_K_OPTIMIZE = 12
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,18 @@ def dirac_matrix(dd, k):
     return _coupled((dd.n, im, im, dd.n, ID2, ID2), weyl.weyl_matrix(dd.weyl, k), True)
 
 
+def _gamma_sum(a, v):
+    """a gamma0 + sum_j v_j gamma0 gamma_j for a scalar a and a 3-vector v."""
+    out = a * GAMMA0
+    for j in range(3):
+        out = out + v[j] * GAMMA0_GAMMA[j]
+    return out
+
+
 def gamma_form(dd, k):
     """The same operator written with gamma matrices (used as a cross-check)."""
     u, nt, _, _ = weyl.closed_form(dd.weyl, k)
-    out = dd.n * u * np.eye(4, dtype=complex) + 1j * dd.mass * GAMMA0
-    for j in range(3):
-        out -= 1j * dd.n * nt[j] * GAMMA0_GAMMA[j]
-    return out
+    return dd.n * u * np.eye(4, dtype=complex) + _gamma_sum(1j * dd.mass, -1j * dd.n * nt)
 
 
 def _omega(dd, u):
@@ -101,10 +108,7 @@ def dirac_interpolating_hamiltonian(dd, k):
     if abs(w - np.pi) < 1e-6:
         raise BranchPointError(f"eigenphase {w} at the logarithm branch point")
     f = omega_over_sin(w)
-    out = -f * dd.mass * GAMMA0
-    for j in range(3):
-        out = out + f * dd.n * nt[j] * GAMMA0_GAMMA[j]
-    return out
+    return _gamma_sum(-f * dd.mass, f * dd.n * nt)
 
 
 def dirac_small_k_hamiltonian(dd, k):
@@ -122,19 +126,13 @@ def dirac_small_k_hamiltonian(dd, k):
     w0 = _omega(dd, u0)
     f0 = omega_over_sin(w0)
     sin_w0 = np.sin(w0)
-    nt_lin = nt0 + jac0 @ k
-    out = -f0 * dd.mass * GAMMA0
-    for j in range(3):
-        out = out + f0 * dd.n * nt_lin[j] * GAMMA0_GAMMA[j]
+    out = _gamma_sum(-f0 * dd.mass, f0 * dd.n * (nt0 + jac0 @ k))
     if sin_w0 >= 1e-9 and maxabs(gu0) > 0.0:
         # Nonzero slope of omega at the origin (possible only off the
         # canonical family, e.g. theta != 0): first order of f(omega(k)).
         grad_w = -dd.n * gu0 / sin_w0
         df = omega_over_sin_deriv(w0) * float(grad_w @ k)
-        base = -dd.mass * GAMMA0
-        for j in range(3):
-            base = base + dd.n * nt0[j] * GAMMA0_GAMMA[j]
-        out = out + df * base
+        out = out + df * _gamma_sum(-dd.mass, dd.n * nt0)
     return out
 
 
@@ -234,8 +232,7 @@ def _dressed_family_fit(variant, candidate_params, ks, adjoint_first, tol=1e-5):
     return best
 
 
-def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_optimize=12,
-                     n_k_verify=50, residual_tol=1e-6):
+def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_tol=1e-6):
     """Randomized search for unitary couplings outside the mass family.
 
     Each trial draws a random constant-block ansatz and locally minimizes
@@ -249,7 +246,7 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_optimize=12,
         variant = weyl.WeylVariant(3, kind="A", sign=1)
     rng = np.random.default_rng(seed)
     d = variant.dimension
-    ks_opt = rng.uniform(-1.5, 1.5, size=(n_k_optimize, d))
+    ks_opt = rng.uniform(-1.5, 1.5, size=(_N_K_OPTIMIZE, d))
     ks_ver = rng.uniform(-1.5, 1.5, size=(n_k_verify, d))
     # W at the optimization wave-vectors is the same in every trial.
     ws_opt = weyl.weyl_matrix(variant, ks_opt)

@@ -68,11 +68,10 @@ class FieldState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def random_state(lattice, internal_dim, rng, normalized=True):
+def random_state(lattice, internal_dim, rng):
     shape = tuple(lattice.sizes) + (internal_dim,)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if normalized:
-        amps /= np.linalg.norm(amps)
+    amps /= np.linalg.norm(amps)
     return FieldState(lattice=lattice, internal_dim=internal_dim, amplitudes=amps)
 
 
@@ -286,16 +285,15 @@ def _branch_projectors(mats, branch):
     return out
 
 
-def packet_modes(spec, descriptor, lattice, plan=None):
+def packet_modes(spec, descriptor, lattice):
     """Gaussian envelope times the branch eigenvector, localized at center_x,
     as amplitudes of the modes it occupies.
 
     The packet occupies the modes where the envelope exceeds 1e-14.  Returns
-    a SpectralPlan that holds them (`plan` when given, which must hold every
-    one; otherwise one built on exactly these modes) and the amplitudes of
-    the plan's modes, normalized by Parseval so that the lattice state has
-    norm 1.  The envelope is checked to be below 1e-12 at the aliasing seam
-    of the mode grid (the band edge); wider packets raise ZoneLeakError.
+    the SpectralPlan built on exactly these modes and their amplitudes,
+    normalized by Parseval so that the lattice state has norm 1.  The
+    envelope is checked to be below 1e-12 at the aliasing seam of the mode
+    grid (the band edge); wider packets raise ZoneLeakError.
     """
     if lattice.presentation != descriptor.presentation:
         raise ValueError("lattice and descriptor use different presentations")
@@ -325,19 +323,13 @@ def packet_modes(spec, descriptor, lattice, plan=None):
     index = np.flatnonzero(envelope > 1e-14)
     if index.size == 0:
         raise ValueError(f"sigma_k={spec.sigma_k} is narrower than the mode grid")
-    if plan is None:
-        plan = SpectralPlan(descriptor, sizes, index)
-    elif plan.descriptor is not descriptor or plan.modes.sizes != sizes:
-        raise ValueError("the plan was built for another descriptor or lattice")
-    rows = np.searchsorted(plan.modes.index, index) % len(plan.modes.index)
-    if np.any(plan.modes.index[rows] != index):
-        raise ValueError("the plan does not hold every mode of the packet")
+    plan = SpectralPlan(descriptor, sizes, index)
 
     # One eig call: the reference operator A(theta0) heads the stack of the
     # packet's modes.
     reference = assemble(descriptor.rule, pres, theta0)
     projectors = _branch_projectors(
-        np.concatenate([reference.reshape(1, s, s), plan.mats[rows]]), spec.branch
+        np.concatenate([reference.reshape(1, s, s), plan.mats]), spec.branch
     )
     ref_proj = projectors[0]
     # The first column of (nearly) largest norm: symmetric rules tie exactly,
@@ -359,14 +351,12 @@ def packet_modes(spec, descriptor, lattice, plan=None):
     amps = weight[:, None] * vecs
     # Parseval: sum_x |psi(x)|^2 = sum_k |psi_hat(k)|^2 / N.
     amps *= np.sqrt(plan.modes.count) / np.linalg.norm(amps)
-    hat = np.zeros((len(plan.modes.index), s), dtype=complex)
-    hat[rows] = amps
-    return plan, hat
+    return plan, amps
 
 
-def make_packet(spec, descriptor, lattice, plan=None):
+def make_packet(spec, descriptor, lattice):
     """The packet of packet_modes as a normalized lattice state."""
-    plan, hat = packet_modes(spec, descriptor, lattice, plan)
+    plan, hat = packet_modes(spec, descriptor, lattice)
     return from_modes(plan.modes.scatter(hat), lattice, 0)
 
 
@@ -398,30 +388,20 @@ def _lattice_moments(state):
     return _moments(z, float(np.sum(weights)), sizes)
 
 
-def mode_moments(hat, modes=None):
-    """Moments of |psi|^2 read off the mode amplitudes, with no inverse FFT.
+def mode_moments(hat, modes):
+    """Moments of |psi|^2 read off the amplitudes `hat` of `modes`, with no
+    inverse FFT.
 
-    `hat` holds the amplitudes of `modes`, or is grid-shaped when `modes` is
-    omitted.  With numpy's fftn sign convention, sum_x |psi(x)|^2
-    exp(2 pi i x_j / n_j) = sum_k psi_hat(k)^dagger psi_hat(k - e_j) / N,
-    where a neighbor k - e_j that is not held is empty.
+    With numpy's fftn sign convention, sum_x |psi(x)|^2 exp(2 pi i x_j / n_j)
+    = sum_k psi_hat(k)^dagger psi_hat(k - e_j) / N, where a neighbor k - e_j
+    that is not held is empty.
     """
-    if modes is None:
-        modes = Modes(hat.shape[:-1])
-        hat = hat.reshape(-1, hat.shape[-1])
     # The appended zero row is every neighbor that is not held (row -1);
     # np.take gathers rows about twice as fast as fancy indexing.
     padded = np.concatenate([hat, np.zeros((1, hat.shape[-1]))])
     z = [np.vdot(hat, np.take(padded, rows, axis=0)) / modes.count
          for rows in modes.neighbors()]
     return _moments(z, np.vdot(hat, hat).real / modes.count, modes.sizes)
-
-
-def mean_position(state):
-    """Amplitude-weighted circular mean position, in group and Cartesian coords."""
-    means = _lattice_moments(state).means
-    cart = state.lattice.presentation.basis_matrix @ means
-    return means, cart
 
 
 def _seam_checked_means(moments, sizes):

@@ -22,7 +22,8 @@ import numpy as np
 from . import maxwell
 from .pauli import pauli_dot
 
-_DEFAULT_K = (0.0, 0.0, 0.4)
+_POLARIZATION_K = np.array([0.0, 0.0, 0.4])
+_MAX_MODES = 512  # fermionic modes
 
 
 def _parity_below(mask, mode):
@@ -70,20 +71,16 @@ class FockOracle:
     """
 
     n_pair_modes: int
-    k: tuple = _DEFAULT_K
-    variant: object = None
-    max_modes: int = 512
     contractions: tuple = field(init=False)
 
     def __post_init__(self):
         if self.n_pair_modes < 1:
             raise ValueError("need at least one pair mode")
-        if 4 * self.n_pair_modes > self.max_modes:
+        if 4 * self.n_pair_modes > _MAX_MODES:
             raise ValueError(
-                f"{4 * self.n_pair_modes} fermionic modes exceed the cap {self.max_modes}"
+                f"{4 * self.n_pair_modes} fermionic modes exceed the cap {_MAX_MODES}"
             )
-        variant = self.variant if self.variant is not None else maxwell._DEFAULT_VARIANT
-        u1, u2 = maxwell.polarization_basis(np.asarray(self.k, dtype=float), variant)
+        u1, u2 = maxwell.polarization_basis(_POLARIZATION_K, maxwell._DEFAULT_VARIANT)
         self.contractions = (pauli_dot(u1), pauli_dot(u2))
 
     @property
@@ -116,9 +113,12 @@ class FockOracle:
             [self.psi_mode(q, component) for q in range(count)]
         )
 
-    def gamma_apply(self, state, polarization):
-        """gamma^i |state>, with the flat profile and trace normalization."""
+    def gamma_apply(self, state, polarization, adjoint=False):
+        """gamma^i |state>, or gamma^i+ |state> when `adjoint`, with the flat
+        profile and trace normalization."""
         s_mat = self.contractions[polarization]
+        if adjoint:
+            s_mat = np.conj(s_mat)
         scale = 1.0 / np.sqrt(2.0 * self.n_pair_modes)
         out = {}
         for q in range(self.n_pair_modes):
@@ -127,23 +127,11 @@ class FockOracle:
                     coeff = s_mat[a, b] * scale
                     if coeff == 0.0:
                         continue
-                    tmp = apply_annihilation(state, self.psi_mode(q, b))
-                    tmp = apply_annihilation(tmp, self.phi_mode(q, a))
-                    add_scaled(out, tmp, coeff)
-        return out
-
-    def gamma_dagger_apply(self, state, polarization):
-        s_mat = self.contractions[polarization]
-        scale = 1.0 / np.sqrt(2.0 * self.n_pair_modes)
-        out = {}
-        for q in range(self.n_pair_modes):
-            for a in range(2):
-                for b in range(2):
-                    coeff = np.conj(s_mat[a, b]) * scale
-                    if coeff == 0.0:
-                        continue
-                    tmp = apply_creation(state, self.phi_mode(q, a))
-                    tmp = apply_creation(tmp, self.psi_mode(q, b))
+                    phi, psi = self.phi_mode(q, a), self.psi_mode(q, b)
+                    if adjoint:
+                        tmp = apply_creation(apply_creation(state, phi), psi)
+                    else:
+                        tmp = apply_annihilation(apply_annihilation(state, psi), phi)
                     add_scaled(out, tmp, coeff)
         return out
 
@@ -173,8 +161,8 @@ def fock_commutator_deviation(oracle, occupations, polarizations=(0, 0)):
     nrm = state_norm(state)
     state = {m: a / nrm for m, a in state.items()}
 
-    forward = oracle.gamma_apply(oracle.gamma_dagger_apply(state, j), i)
-    backward = oracle.gamma_dagger_apply(oracle.gamma_apply(state, i), j)
+    forward = oracle.gamma_apply(oracle.gamma_apply(state, j, adjoint=True), i)
+    backward = oracle.gamma_apply(oracle.gamma_apply(state, i), j, adjoint=True)
     result = dict(forward)
     add_scaled(result, backward, -1.0)
     if i == j:

@@ -200,6 +200,20 @@ def test_extraction_support_mismatch():
         )
 
 
+def test_extraction_rejects_nan_off_the_sampling_grid():
+    # The Fourier grid samples theta = 0, 2pi/3, 4pi/3; only the random
+    # reconstruction check meets the NaN band 0.1 < |theta| < 1.
+    v = weyl.WeylVariant(1)
+    p = build_presentation("line")
+
+    def closed_form(k):
+        w = weyl.weyl_matrix(v, k)
+        return w * np.nan if 0.1 < abs(k[0]) < 1.0 else w
+
+    with pytest.raises(SupportMismatchError, match="nan"):
+        extract_transition_matrices(closed_form, p, p.signed_labels())
+
+
 def test_spectrum_weyl1d_linear():
     d = catalog.build_descriptor("weyl-1d")
     phases, vectors = spectrum(d, [0.6])

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qca import catalog, dirac, serialize
+from qca import catalog, dirac, evolution, serialize
+from qca.cayley import make_tiling
 from qca.cli import main
 
 
@@ -46,6 +47,41 @@ def test_validate_broken_descriptor_fails(capsys, tmp_path):
     code, out, _ = _run(capsys, ["validate", "--descriptor", str(path)])
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+TILED = "weyl-2d/tiled-x4"
+
+
+@pytest.mark.parametrize("name", list(catalog.builtin_names()) + [TILED])
+def test_descriptor_json_round_trip(capsys, tmp_path, name):
+    if name == TILED:
+        base = catalog.build_descriptor("weyl-2d")
+        descriptor = evolution.tile_descriptor(
+            base, make_tiling(base.presentation, ((2, 0), (0, 2)))
+        )
+    else:
+        descriptor = catalog.build_descriptor(name)
+    text = json.dumps(serialize.descriptor_to_dict(descriptor))
+    back = serialize.descriptor_from_dict(json.loads(text))
+    assert list(back.rule.entries) == list(descriptor.rule.entries)
+    for label, block in descriptor.rule.entries.items():
+        assert back.rule.entries[label].tobytes() == block.tobytes(), label
+    if descriptor.isotropy is None:
+        assert back.isotropy is None
+    else:
+        pairs = zip(back.isotropy.elements, descriptor.isotropy.elements, strict=True)
+        for (perm, unitary), (expected_perm, expected) in pairs:
+            assert perm == expected_perm
+            assert unitary.tobytes() == np.asarray(expected, dtype=complex).tobytes()
+
+    path = tmp_path / "descriptor.json"
+    path.write_text(text)
+    code, out, _ = _run(capsys, ["validate", "--descriptor", str(path)])
+    assert code == 0
+    if name == TILED:
+        assert out == serialize.report_document(catalog.validate_descriptor(descriptor))
+    else:
+        assert (code, out) == _run(capsys, ["validate", "--builtin", name])[:2]
 
 
 def test_dispersion_csv_weyl1d(capsys):
@@ -276,3 +312,24 @@ def test_output_file_writing(capsys, tmp_path):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["dimension"] == 1
+    # Every other subcommand writes its document to --output and nothing to stdout.
+    others = {
+        "validate": ["validate", "--builtin", "weyl-1d"],
+        "dispersion": ["dispersion", "--variant", "weyl-1d", "--grid", "4"],
+        "evolve": ["evolve", "--builtin", "weyl-1d", "--sizes", "32",
+                   "--packet", "k0=0.5;sigma=0.1", "--steps", "2"],
+        "maxwell": ["maxwell", "--k", "0.2,0.1,-0.3", "--time", "0.01"],
+        "fock": ["fock", "--modes", "2"],
+        "tile": ["tile", "--builtin", "weyl-1d", "--basis", "2"],
+        "dirac-search": ["dirac-search", "--samples", "1", "--k-samples", "5"],
+    }
+    for name, argv in others.items():
+        path = tmp_path / name
+        code, out, _ = _run(capsys, argv + ["--output", str(path)])
+        assert code == 0, name
+        assert out == "", name
+        text = path.read_text()
+        if name == "dispersion":
+            assert text.startswith("k1,omega_plus,omega_minus,v1\n")
+        else:
+            assert "schema_version" in json.loads(text), name

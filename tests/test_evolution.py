@@ -118,7 +118,7 @@ def test_packet_normalized_and_localized():
     )
     state = evolution.make_packet(spec, d, lattice)
     assert abs(state.norm() - 1.0) < 1e-12
-    means, _ = evolution.mean_position(state)
+    means = evolution._lattice_moments(state).means
     assert abs(means[0] - 40.0) < 0.5
 
 

@@ -105,7 +105,7 @@ def test_gamma_annihilates_vacuum():
 
 def test_gamma_dagger_creates_normalized_pair_superposition():
     oracle = fock.FockOracle(n_pair_modes=5)
-    created = oracle.gamma_dagger_apply(oracle.vacuum(), 0)
+    created = oracle.gamma_apply(oracle.vacuum(), 0, adjoint=True)
     assert fock.state_norm(created) == pytest.approx(1.0, abs=1e-13)
     # gamma gamma^+ |0> = |0>
     back = oracle.gamma_apply(created, 0)

@@ -167,8 +167,9 @@ def test_mode_moments_match_real_space(name, mass, sizes, k0, sigma):
         evolution.make_packet(spec, descriptor, lattice), descriptor, 3
     )
     for state in (packet, _state(descriptor, sizes, seed=4)):
-        moments = evolution.mode_moments(evolution.to_modes(state))
-        means, _ = evolution.mean_position(state)
+        hat = evolution.to_modes(state).reshape(-1, state.internal_dim)
+        moments = evolution.mode_moments(hat, evolution.Modes(sizes))
+        means = evolution._lattice_moments(state).means
         real = evolution._lattice_moments(state)
         wrapped = np.mod(moments.means - means + np.asarray(sizes) / 2, sizes)
         assert maxabs(wrapped - np.asarray(sizes) / 2) < 1e-12
@@ -274,21 +275,6 @@ def test_band_touching_projector_is_whole_space():
     for branch in ("plus", "minus"):
         proj = evolution._branch_projectors(mats, branch)
         assert maxabs(proj - np.eye(2)) == 0.0
-
-
-def test_make_packet_reuses_plan():
-    descriptor = _descriptor("bcc-a-plus")
-    sizes = (16, 16, 16)
-    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
-    spec = evolution.WavePacketSpec((0.3, 0.0, 0.2), 0.25, (4, 5, 6), "plus")
-    plan = evolution.SpectralPlan(descriptor, sizes)
-    with_plan = evolution.make_packet(spec, descriptor, lattice, plan=plan)
-    without = evolution.make_packet(spec, descriptor, lattice)
-    assert maxabs(with_plan.amplitudes - without.amplitudes) == 0.0
-    with pytest.raises(ValueError):
-        evolution.make_packet(
-            spec, descriptor, lattice, plan=evolution.SpectralPlan(descriptor, (8, 8, 8))
-        )
 
 
 def test_packet_modes_rejects_packet_narrower_than_the_mode_grid():
