@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.linalg
+# numpy loads these lazily; loading them with the package keeps that cost
+# out of the commands that use them.
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .cayley import IDENTITY_LABEL, CayleyPresentation
 from .errors import SupportMismatchError
@@ -276,6 +279,8 @@ def spectrum(descriptor, k):
     Uses the complex Schur form; for a unitary operator it is diagonal, so
     the Schur vectors are an orthonormal eigenbasis even at degeneracies.
     """
+    import scipy.linalg  # only here, so that importing qca loads no scipy
+
     pres = descriptor.presentation
     a = assemble(descriptor.rule, pres, pres.theta_of(k))
     s = descriptor.internal_dim

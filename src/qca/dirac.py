@@ -35,6 +35,7 @@ GAMMA = tuple(np.block([[_Z2, PAULI[j]], [-PAULI[j], _Z2]]) for j in range(3))
 GAMMA0_GAMMA = tuple(GAMMA0 @ GAMMA[j] for j in range(3))
 # Wave-vectors at which the coupling probe's optimizer evaluates the residual.
 _N_K_OPTIMIZE = 12
+_MAX_NFEV, _TOL = 400, 1e-8  # the probe's solver: evaluation budget; ftol = xtol = gtol
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,8 @@ def _coupled(params, w, adjoint_first):
     return out
 
 
-def _unitarity_defect(params, ws, adjoint_first):
-    """D^+ D - I of the ansatz at every step operator of the stack ws."""
-    d = _coupled(params, ws, adjoint_first)
+def _unitarity_defect(d):
+    """D^+ D - I for a stack d of shape (..., 4, 4)."""
     return dagger(d) @ d - np.eye(4)
 
 
@@ -163,7 +163,7 @@ def coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, k_samples
     """
     ks = np.atleast_2d(np.asarray(k_samples, dtype=float))
     ws = weyl.weyl_matrix(variant, ks)
-    return maxabs(_unitarity_defect((p, q, r, t, x_block, y_block), ws, adjoint_first))
+    return maxabs(_unitarity_defect(_coupled((p, q, r, t, x_block, y_block), ws, adjoint_first)))
 
 
 def _pack(params):
@@ -173,12 +173,59 @@ def _pack(params):
     return p, q, r, t, x_block, y_block
 
 
-def _residual_vector(params_real, ws, adjoint_first):
-    """Real and imaginary parts of D^+ D - I at the stacked step operators ws,
-    the 16 real parts and then the 16 imaginary parts of each in turn."""
-    params = _pack(params_real[0::2] + 1j * params_real[1::2])
-    res = _unitarity_defect(params, ws, adjoint_first).reshape(-1, 16)
-    return np.concatenate([res.real, res.imag], axis=1).ravel()
+def _residual_and_jacobian(params_real, ws, adjoint_first):
+    """D^+ D - I at the stacked step operators ws (16 real then 16 imaginary
+    parts per operator) and its Jacobian in the interleaved real and
+    imaginary parts of the 12 complex parameters.  The ansatz is bilinear:
+    C_i = dD/dz_i is W' or W for p and t, X for q, q E_ab for X_ab, and so
+    for r and Y; D^+ D changes by C_i^+ D + D^+ C_i along Re z_i and by
+    i (D^+ C_i - C_i^+ D) along Im z_i."""
+    _, q, r, _, x_block, y_block = params = _pack(params_real[0::2] + 1j * params_real[1::2])
+    d = _coupled(params, ws, adjoint_first)
+    c = np.zeros((12,) + d.shape, dtype=complex)
+    # With X and Y fixed the ansatz is linear in (p, q, r, t).
+    c[:4] = [_coupled((*unit, x_block, y_block), ws, adjoint_first) for unit in np.eye(4)]
+    ab = np.arange(4)
+    c[4 + ab, :, ab // 2, 2 + ab % 2] = q
+    c[8 + ab, :, 2 + ab // 2, ab % 2] = r
+    cd = np.einsum("ikba,kbc->ikac", c.conj(), d)
+    jac = np.stack([cd + dagger(cd), 1j * (dagger(cd) - cd)], axis=1).reshape(24, -1, 16)
+    res = _unitarity_defect(d).reshape(-1, 16)
+    return (np.concatenate([res.real, res.imag], axis=-1).ravel(),
+            np.concatenate([jac.real, jac.imag], axis=-1).reshape(24, -1).T)
+
+
+def _levenberg_marquardt(fun, x, args=()):
+    """Levenberg-Marquardt: a local minimum of |f(x)|^2; fun(x, *args) returns
+    f and its Jacobian J.  The damping scales with the largest diag(J^T J)
+    seen so far (as in MINPACK), so a column that fades near a manifold of
+    solutions (X's as q -> 0) stays damped.  Stops when the relative decrease
+    of |f|^2, the step relative to |x| or the largest cosine between f and a
+    column of J falls to _TOL (ftol, xtol, gtol), or after _MAX_NFEV
+    evaluations.  A singular or non-finite step raises LinAlgError."""
+    f, jac = fun(x, *args)
+    cost, nfev, damping = f @ f, 1, 1e-3
+    scale = np.zeros(x.size)
+    while nfev < _MAX_NFEV:
+        grad, normal = jac.T @ f, jac.T @ jac
+        if np.all(np.abs(grad) <= _TOL * np.sqrt(cost * np.diag(normal))):
+            break
+        scale = np.maximum(scale, np.diag(normal))
+        step = np.linalg.solve(normal + damping * np.diag(scale), -grad)
+        if not np.all(np.isfinite(step)):
+            raise np.linalg.LinAlgError("non-finite step")
+        f_new, jac_new = fun(x + step, *args)
+        nfev += 1
+        cost_new = f_new @ f_new
+        converged = np.linalg.norm(step) <= _TOL * (_TOL + np.linalg.norm(x))
+        if cost_new < cost:
+            converged = converged or cost - cost_new <= _TOL * cost
+            x, f, jac, cost, damping = x + step, f_new, jac_new, cost_new, damping / 10.0
+        else:
+            damping *= 10.0
+        if converged:
+            break
+    return x
 
 
 def _wrap_phase(x):
@@ -237,11 +284,10 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_
 
     Each trial draws a random constant-block ansatz and locally minimizes
     the unitarity residual; trials that converge below residual_tol are
-    classified by their spectra; trials whose optimizer raises are counted
-    in optimizer_failures.  This is desk-scale evidence, not a proof.
+    classified by their spectra; trials whose optimizer raises, or whose
+    residual is not finite, are counted in optimizer_failures.  This is
+    desk-scale evidence, not a proof.
     """
-    import scipy.optimize
-
     if variant is None:
         variant = weyl.WeylVariant(3, kind="A", sign=1)
     rng = np.random.default_rng(seed)
@@ -250,42 +296,26 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_
     ks_ver = rng.uniform(-1.5, 1.5, size=(n_k_verify, d))
     # W at the optimization wave-vectors is the same in every trial.
     ws_opt = weyl.weyl_matrix(variant, ks_opt)
-    report = {
-        "trials": n_seeds,
-        "optimizer_failures": 0,
-        "converged_unitary": 0,
-        "decoupled_endpoint": 0,
-        "flip_endpoint": 0,
-        "dressed_family": 0,
-        "exact_family": 0,
-        "off_family_hits": 0,
-        "best_nonfamily_residual": float("inf"),
-        "family_masses": [],
-    }
-    for trial in range(n_seeds):
+    report = dict.fromkeys(("optimizer_failures", "converged_unitary", "decoupled_endpoint",
+                            "flip_endpoint", "dressed_family", "exact_family", "off_family_hits"), 0)
+    report.update(trials=n_seeds, best_nonfamily_residual=float("inf"), family_masses=[])
+    for _ in range(n_seeds):
         adjoint_first = bool(rng.integers(0, 2))
         start = rng.normal(scale=1.0, size=24)
         try:
-            fit = scipy.optimize.least_squares(
-                _residual_vector,
-                start,
-                args=(ws_opt, adjoint_first),
-                method="lm",
-                max_nfev=400,
-            )
+            fit = _levenberg_marquardt(_residual_and_jacobian, start, (ws_opt, adjoint_first))
         except (ValueError, np.linalg.LinAlgError):
             report["optimizer_failures"] += 1
             continue
-        z = fit.x[0::2] + 1j * fit.x[1::2]
+        z = fit[0::2] + 1j * fit[1::2]
         p, q, r, t, x_block, y_block = _pack(z)
-        residual = coupling_unitarity_residual(
-            p, q, r, t, x_block, y_block, variant, ks_ver,
-            adjoint_first=adjoint_first,
-        )
+        residual = coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, ks_ver,
+                                               adjoint_first=adjoint_first)
+        if not np.isfinite(residual):
+            report["optimizer_failures"] += 1
+            continue
         if residual >= residual_tol:
-            report["best_nonfamily_residual"] = min(
-                report["best_nonfamily_residual"], residual
-            )
+            report["best_nonfamily_residual"] = min(report["best_nonfamily_residual"], residual)
             continue
         report["converged_unitary"] += 1
         coupling = max(maxabs(q * x_block), maxabs(r * y_block))
@@ -299,9 +329,7 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_
         fit_result = _dressed_family_fit(variant, z, ks_ver, adjoint_first)
         if fit_result is None:
             report["off_family_hits"] += 1
-            report["best_nonfamily_residual"] = min(
-                report["best_nonfamily_residual"], residual
-            )
+            report["best_nonfamily_residual"] = min(report["best_nonfamily_residual"], residual)
             continue
         gamma, delta, nu, _ = fit_result
         report["dressed_family"] += 1

@@ -21,5 +21,9 @@ class ZoneLeakError(QcaError):
     """Wave-packet envelope is not negligible at the wave-vector zone edge."""
 
 
+class DescriptorError(QcaError):
+    """A descriptor document lacks a key or holds a value of the wrong type."""
+
+
 class PacketBoundaryError(QcaError):
     """Packet mass too close to the periodic wrap seam for unwrapped means."""

@@ -14,6 +14,7 @@ import numpy as np
 
 from .automaton import AutomatonDescriptor, IsotropyGroup, TransitionRule
 from .cayley import BrillouinZone, CayleyPresentation, Generator
+from .errors import DescriptorError
 from .evolution import FieldState, LatticeSpec
 
 SCHEMA_VERSION = 1
@@ -74,8 +75,11 @@ def _matrix_to_json(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_json(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+def _matrix_from_json(rows, key):
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError):
+        raise DescriptorError(f"descriptor matrix {key!r} is not rows of [re, im] pairs") from None
 
 
 def presentation_to_dict(presentation):
@@ -97,27 +101,41 @@ def presentation_to_dict(presentation):
     }
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               (int, float): "a number"}
+
+
+def _get(doc, key, kind):
+    """doc[key]; a DescriptorError names the key if it is missing or ill-typed."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise DescriptorError(f"descriptor key {key!r} is missing or not {_JSON_TYPES[kind]}")
+    return value
+
+
 def presentation_from_dict(doc):
     gens = tuple(
         Generator(
-            label=g["label"],
-            displacement=tuple(float(v) for v in g["displacement"]),
+            label=_get(g, "label", str),
+            displacement=tuple(float(v) for v in _get(g, "displacement", list)),
             inverse_label=g.get("inverse_label", g["label"] + "^-1"),
         )
-        for g in doc["generators"]
+        for g in _get(doc, "generators", list)
     )
+    zone = _get(doc, "zone", dict)
     zone = BrillouinZone(
-        kind=doc["zone"]["kind"],
+        kind=_get(zone, "kind", str),
         bounds=tuple(
-            (tuple(float(v) for v in b["normal"]), float(b["bound"]))
-            for b in doc["zone"]["bounds"]
+            (tuple(float(v) for v in _get(b, "normal", list)),
+             float(_get(b, "bound", (int, float))))
+            for b in _get(zone, "bounds", list)
         ),
     )
     pres = CayleyPresentation(
-        dimension=int(doc["dimension"]),
+        dimension=_get(doc, "dimension", int),
         generators_plus=gens,
-        relators=tuple(tuple(int(v) for v in r) for r in doc["relators"]),
-        free_basis=tuple(doc["free_basis"]),
+        relators=tuple(tuple(int(v) for v in r) for r in _get(doc, "relators", list)),
+        free_basis=tuple(_get(doc, "free_basis", list)),
         bz=zone,
         kind=doc.get("kind", "custom"),
     )
@@ -146,17 +164,19 @@ def descriptor_to_dict(descriptor):
 
 
 def descriptor_from_dict(doc):
-    presentation = presentation_from_dict(doc["presentation"])
+    """The descriptor a document holds; a missing or ill-typed key raises DescriptorError."""
+    presentation = presentation_from_dict(_get(doc, "presentation", dict))
+    matrices = _get(doc, "matrices", dict)
     rule = TransitionRule(
-        entries={label: _matrix_from_json(rows) for label, rows in doc["matrices"].items()},
-        internal_dim=int(doc["internal_dim"]),
+        entries={label: _matrix_from_json(rows, label) for label, rows in matrices.items()},
+        internal_dim=_get(doc, "internal_dim", int),
     )
     isotropy = None
     if doc.get("isotropy"):
         isotropy = IsotropyGroup(
             elements=tuple(
-                (dict(e["permutation"]), _matrix_from_json(e["unitary"]))
-                for e in doc["isotropy"]["elements"]
+                (dict(_get(e, "permutation", dict)), _matrix_from_json(e.get("unitary"), "unitary"))
+                for e in _get(doc["isotropy"], "elements", list)
             )
         )
     return AutomatonDescriptor(

@@ -115,7 +115,7 @@ def test_residual_vector_from_precomputed_stack(adjoint_first):
     rng = np.random.default_rng(5)
     ks = rng.uniform(-1.5, 1.5, size=(12, 3))
     params_real = rng.normal(size=24)
-    got = dirac._residual_vector(params_real, weyl.weyl_matrix(variant, ks), adjoint_first)
+    got, _ = dirac._residual_and_jacobian(params_real, weyl.weyl_matrix(variant, ks), adjoint_first)
 
     z = params_real[0::2] + 1j * params_real[1::2]
     p, q, r, t = z[:4]

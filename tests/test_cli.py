@@ -1,13 +1,32 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qca
 from qca import catalog, dirac, evolution, serialize
 from qca.cayley import make_tiling
 from qca.cli import main
+from qca.errors import DescriptorError
+
+# One small run of every subcommand.
+SMALL_RUNS = {
+    "graph": ["graph", "--kind", "line"],
+    "validate": ["validate", "--builtin", "weyl-1d"],
+    "dispersion": ["dispersion", "--variant", "weyl-1d", "--grid", "4"],
+    "evolve": ["evolve", "--builtin", "weyl-1d", "--sizes", "32",
+               "--packet", "k0=0.5;sigma=0.1", "--steps", "2"],
+    "maxwell": ["maxwell", "--k", "0.2,0.1,-0.3", "--time", "0.01"],
+    "fock": ["fock", "--modes", "2"],
+    "tile": ["tile", "--builtin", "weyl-1d", "--basis", "2"],
+    "dirac-search": ["dirac-search", "--samples", "1", "--k-samples", "5"],
+}
 
 
 def _run(capsys, argv):
@@ -313,16 +332,7 @@ def test_output_file_writing(capsys, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["dimension"] == 1
     # Every other subcommand writes its document to --output and nothing to stdout.
-    others = {
-        "validate": ["validate", "--builtin", "weyl-1d"],
-        "dispersion": ["dispersion", "--variant", "weyl-1d", "--grid", "4"],
-        "evolve": ["evolve", "--builtin", "weyl-1d", "--sizes", "32",
-                   "--packet", "k0=0.5;sigma=0.1", "--steps", "2"],
-        "maxwell": ["maxwell", "--k", "0.2,0.1,-0.3", "--time", "0.01"],
-        "fock": ["fock", "--modes", "2"],
-        "tile": ["tile", "--builtin", "weyl-1d", "--basis", "2"],
-        "dirac-search": ["dirac-search", "--samples", "1", "--k-samples", "5"],
-    }
+    others = {name: argv for name, argv in SMALL_RUNS.items() if name != "graph"}
     for name, argv in others.items():
         path = tmp_path / name
         code, out, _ = _run(capsys, argv + ["--output", str(path)])
@@ -333,3 +343,49 @@ def test_output_file_writing(capsys, tmp_path):
             assert text.startswith("k1,omega_plus,omega_minus,v1\n")
         else:
             assert "schema_version" in json.loads(text), name
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # A fresh interpreter: this test session has imported scipy already.
+    runs = {name: argv + ["--output", str(tmp_path / name)] for name, argv in SMALL_RUNS.items()}
+    script = (
+        "import sys\n"
+        "from qca.cli import main\n"
+        f"for name, argv in {runs!r}.items():\n"
+        "    assert main(argv) == 0, name\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(qca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SMALL_RUNS)
+
+
+def _descriptor_without_matrices():
+    doc = serialize.descriptor_to_dict(catalog.build_descriptor("weyl-1d"))
+    del doc["matrices"]
+    return doc
+
+
+def _descriptor_with_bad_rows():
+    doc = serialize.descriptor_to_dict(catalog.build_descriptor("weyl-1d"))
+    doc["matrices"]["h"] = [1.0]
+    return doc
+
+
+@pytest.mark.parametrize("make_doc, key", [
+    (lambda: {"presentation": {"dimension": 1}}, "generators"),
+    (lambda: [1, 2], "presentation"),
+    (_descriptor_without_matrices, "matrices"),
+    (_descriptor_with_bad_rows, "h"),
+], ids=["no-generators", "list", "no-matrices", "bad-rows"])
+def test_malformed_descriptor_is_usage_error(capsys, tmp_path, make_doc, key):
+    with pytest.raises(DescriptorError, match=repr(key)):
+        serialize.descriptor_from_dict(make_doc())
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(make_doc()))
+    code, out, err = _run(capsys, ["validate", "--descriptor", str(path)])
+    assert (code, out) == (2, "")
+    assert repr(key) in err

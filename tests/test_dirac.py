@@ -268,24 +268,66 @@ def test_dressed_family_fit_rejects_non_unitary_witness():
 
 
 def test_probe_counts_optimizer_failures(monkeypatch):
-    import scipy.optimize
-
-    real = scipy.optimize.least_squares
+    real = dirac._levenberg_marquardt
     calls = []
 
     def flaky(*args, **kwargs):
         calls.append(None)
         if len(calls) == 2:
-            raise ValueError("optimizer hiccup")
+            raise np.linalg.LinAlgError("singular step")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", flaky)
+    monkeypatch.setattr(dirac, "_levenberg_marquardt", flaky)
     report = dirac.uniqueness_probe(n_seeds=5, seed=4, n_k_verify=25)
     assert len(calls) == 5
     assert report["optimizer_failures"] == 1
     classes = (report["decoupled_endpoint"] + report["flip_endpoint"]
                + report["dressed_family"] + report["off_family_hits"])
     assert classes == report["converged_unitary"] <= report["trials"] - 1
+
+
+def test_probe_counts_non_finite_fits_as_failures(monkeypatch):
+    # A NaN residual compares False with the tolerance; it must not pass as converged.
+    monkeypatch.setattr(dirac, "_levenberg_marquardt", lambda *args: np.full(24, np.nan))
+    report = dirac.uniqueness_probe(n_seeds=3, seed=4, n_k_verify=25)
+    assert report["optimizer_failures"] == 3
+    assert report["converged_unitary"] == 0
+
+
+def _real_params(z):
+    """Complex parameters as the solver's interleaved real and imaginary parts."""
+    return np.stack([z.real, z.imag], axis=-1).ravel()
+
+
+@pytest.mark.parametrize("adjoint_first", [True, False])
+def test_residual_jacobian_matches_central_differences(adjoint_first):
+    rng = np.random.default_rng(31)
+    ws = weyl.weyl_matrix(V3, rng.uniform(-1.5, 1.5, size=(12, 3)))
+    x = rng.normal(size=24)
+    res, jac = dirac._residual_and_jacobian(x, ws, adjoint_first)
+    assert res.shape == (12 * 32,) and jac.shape == (12 * 32, 24)
+
+    def residual(y):
+        return dirac._residual_and_jacobian(y, ws, adjoint_first)[0]
+
+    h = 1e-6
+    central = np.stack([(residual(x + e) - residual(x - e)) / (2 * h) for e in h * np.eye(24)],
+                       axis=1)
+    # Roundoff of the differences is about 1e-9 here, against entries of order 10.
+    assert maxabs(jac - central) <= 1e-7
+
+
+@pytest.mark.parametrize("variant, adjoint_first, block", [
+    (V3, True, np.eye(2)),
+    (V1, False, PAULI[0]),
+], ids=["3d-adjoint", "1d-plain"])
+def test_levenberg_marquardt_returns_to_the_family(variant, adjoint_first, block):
+    rng = np.random.default_rng(33)
+    ws = weyl.weyl_matrix(variant, rng.uniform(-1.5, 1.5, size=(12, variant.dimension)))
+    start = _real_params(_family_member(0.7, 0.25, 0.3, block)) + 0.05 * rng.normal(size=24)
+    assert maxabs(dirac._residual_and_jacobian(start, ws, adjoint_first)[0]) > 1e-2
+    fit = dirac._levenberg_marquardt(dirac._residual_and_jacobian, start, (ws, adjoint_first))
+    assert maxabs(dirac._residual_and_jacobian(fit, ws, adjoint_first)[0]) < 1e-12
 
 
 def test_d1_decomposes_into_identical_pair():
