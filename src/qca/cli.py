@@ -155,7 +155,7 @@ def _cmd_evolve(args):
         rows.append([recorded, moments.norm] + [float(v) for v in basis @ moments.means])
 
     if args.snapshot:
-        state = evolution.from_modes(plan.modes.scatter(hat), lattice, recorded)
+        state = evolution.FieldState(lattice, hat.shape[-1], plan.modes.ifftn(hat), recorded)
         serialize.save_snapshot(state, args.snapshot)
     if args.observables:
         d = descriptor.presentation.dimension

@@ -4,12 +4,12 @@ States live on a torus of group coordinates with one complex amplitude per
 (site, internal index).  Evolution is exact in the wave-vector picture: an
 FFT block-diagonalizes the step into one small unitary per lattice mode, and
 an empty mode stays empty.  A run holds only the modes its packet occupies
-(Modes: grid indices plus a flat stack of amplitudes), so memory scales with
-that support; a dense state holds every mode.  A SpectralPlan builds the
-held modes' unitaries once and raises them to any step count, in closed form
-for the Weyl and Dirac rules; packets and moments live in mode space, and a
-snapshot is a run's only inverse FFT.  A direct neighborhood-sum step is
-kept as the independent oracle.
+(Modes: grid indices plus a flat stack of amplitudes), and its set-up and
+snapshot scale with that support: the envelope is evaluated on a per-axis
+box, the branch projectors and the held modes' powers (SpectralPlan) are in
+closed form for the Weyl and Dirac rules, and the snapshot, a run's only
+inverse FFT, transforms only the lines the held modes reach.  A dense state
+holds every mode.  A direct neighborhood-sum step is the independent oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -132,11 +132,17 @@ class Modes:
                 self._neighbors.append(np.where(self.index[rows] == flat, rows, -1))
         return self._neighbors
 
-    def scatter(self, hat):
-        """Grid-shaped mode amplitudes: `hat` on the held modes, zero elsewhere."""
-        dense = np.zeros((self.count, hat.shape[-1]), dtype=complex)
-        dense[self.index] = hat
-        return dense.reshape(self.sizes + hat.shape[-1:])
+    def ifftn(self, hat):
+        """Lattice amplitudes: np.fft.ifftn, bit for bit, of the grid holding
+        `hat` on these modes and zero elsewhere.  Like ifftn it transforms one
+        axis at a time from the last, but only the lines that reach a mode."""
+        keys, out = self.index, hat[:, None, :]
+        for n in reversed(self.sizes):
+            lines, rows = np.unique(keys // n, return_inverse=True)
+            grid = np.zeros((len(lines), n) + out.shape[1:], dtype=complex)
+            grid[rows, keys % n] = out
+            keys, out = lines, np.fft.ifft(grid, axis=1).reshape(len(lines), -1, hat.shape[-1])
+        return out.reshape(self.sizes + hat.shape[-1:])
 
 
 def mode_matrices(descriptor, modes):
@@ -147,6 +153,17 @@ def mode_matrices(descriptor, modes):
 
 def _apply(mats, hat):
     return np.einsum("...ab,...b->...a", mats, hat)
+
+
+def _closed_form_parts(mats):
+    """W = cI + (W - cI) over a stack: c = Re tr W / s, W - cI, sin(w) =
+    ||W - cI||_F / sqrt(s), and whether W + W^dagger = 2cI on every matrix."""
+    s = mats.shape[-1]
+    cos = np.trace(mats, axis1=1, axis2=2).real / s
+    shifted = mats - cos[:, None, None] * np.eye(s)
+    sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
+    # maxabs propagates NaN, and NaN fails the test: no closed form then.
+    return cos, shifted, sin, maxabs(shifted + dagger(shifted)) <= _CLOSED_FORM_TOL
 
 
 class SpectralPlan:
@@ -168,14 +185,9 @@ class SpectralPlan:
         self.descriptor = descriptor
         self.modes = Modes(sizes, index)
         self.mats = mode_matrices(descriptor, self.modes)
-        s = descriptor.internal_dim
-        self.cos = np.trace(self.mats, axis1=1, axis2=2).real / s
-        shifted = self.mats - self.cos[:, None, None] * np.eye(s)
-        self.sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
+        self.cos, _, self.sin, self.closed_form = _closed_form_parts(self.mats)
         # atan2 rather than arccos keeps full precision where sin(w) -> 0.
         self.omega = np.arctan2(self.sin, self.cos)
-        # maxabs propagates NaN, and NaN fails the test: no closed form then.
-        self.closed_form = maxabs(shifted + dagger(shifted)) <= _CLOSED_FORM_TOL
         self._powers = {}
 
     def _power(self, steps):
@@ -216,13 +228,6 @@ def to_modes(state):
     return np.fft.fftn(state.amplitudes, axes=axes)
 
 
-def from_modes(hat, lattice, time):
-    """The lattice state whose grid-shaped mode amplitudes are `hat`."""
-    amps = np.fft.ifftn(hat, axes=tuple(range(lattice.presentation.dimension)))
-    return FieldState(lattice=lattice, internal_dim=hat.shape[-1], amplitudes=amps,
-                      time=time)
-
-
 def step_spectral(state, descriptor, steps):
     """Evolve by `steps` applications of the global step, in the mode picture.
 
@@ -236,9 +241,8 @@ def step_spectral(state, descriptor, steps):
     if steps < 0:
         raise ValueError("steps must be non-negative")
     plan = SpectralPlan(descriptor, state.lattice.sizes)
-    hat = to_modes(state)
-    out = plan.advance(hat.reshape(-1, state.internal_dim), steps)
-    return from_modes(out.reshape(hat.shape), state.lattice, state.time + steps)
+    out = plan.advance(to_modes(state).reshape(-1, state.internal_dim), steps)
+    return replace(state, amplitudes=plan.modes.ifftn(out), time=state.time + steps)
 
 
 @dataclass(frozen=True)
@@ -266,22 +270,36 @@ class WavePacketSpec:
 
 
 def _branch_projectors(mats, branch):
-    """Spectral projectors V diag(want) V^-1 onto the branch of stacked matrices.
+    """Spectral projectors onto the branch of stacked matrices.
 
     "plus" keeps the eigenphases <= 0 and "minus" the positive ones.  A matrix
     keeps its whole space when no eigenvalue is on the wanted side, or when a
     wanted and an unwanted eigenvalue lie within _BRANCH_GAP: that is one
     degenerate eigenvalue split by roundoff (a band-touching mode, W = +-I),
     where no branch is defined.
+
+    A stack that passes SpectralPlan's closed-form test has eigenvalues
+    c -+ i sin(w) only, so P_plus/minus = (I +- i (W - cI) / sin(w)) / 2 and
+    one side is empty where |Im tr W| = s sin(w).  Others take V diag(want)
+    V^-1 from one batched eig.
     """
-    vals, vecs = np.linalg.eig(mats)
-    phases = np.angle(vals)
-    want = phases <= 0 if branch == "plus" else phases > 0
-    gaps = np.abs(vals[..., :, None] - vals[..., None, :])
-    split = want[..., :, None] & ~want[..., None, :] & (gaps < _BRANCH_GAP)
-    whole = np.all(want, axis=-1) | ~np.any(want, axis=-1) | np.any(split, axis=(-2, -1))
-    out = (vecs * want[..., None, :]) @ np.linalg.inv(vecs)
-    out[whole] = np.eye(mats.shape[-1])
+    s = mats.shape[-1]
+    _, shifted, sin, closed_form = _closed_form_parts(mats)
+    if closed_form:
+        trace = np.abs(np.trace(shifted, axis1=1, axis2=2).imag)
+        whole = (2.0 * sin < _BRANCH_GAP) | (trace > (s - 1) * sin)
+        half = np.divide(0.5j if branch == "plus" else -0.5j, sin,
+                         out=np.zeros(len(sin), dtype=complex), where=~whole)
+        out = half[:, None, None] * shifted + 0.5 * np.eye(s)
+    else:
+        vals, vecs = np.linalg.eig(mats)
+        phases = np.angle(vals)
+        want = phases <= 0 if branch == "plus" else phases > 0
+        gaps = np.abs(vals[..., :, None] - vals[..., None, :])
+        split = want[..., :, None] & ~want[..., None, :] & (gaps < _BRANCH_GAP)
+        whole = np.all(want, axis=-1) | ~np.any(want, axis=-1) | np.any(split, axis=(-2, -1))
+        out = (vecs * want[..., None, :]) @ np.linalg.inv(vecs)
+    out[whole] = np.eye(s)
     return out
 
 
@@ -306,27 +324,29 @@ def packet_modes(spec, descriptor, lattice):
     thetas = _theta_axes(sizes)
 
     wrapped = [np.mod(t - t0 + np.pi, 2.0 * np.pi) - np.pi for t, t0 in zip(thetas, theta0)]
-    # Cartesian offset of every mode from the packet center.
-    dk = np.stack(np.meshgrid(*wrapped, indexing="ij"), axis=-1) @ pres.dual_matrix.T
+    # The envelope passes the 1e-14 cut only at Cartesian offsets |dk| < radius,
+    # so only where |wrapped_j| = |h_j . dk| <= |h_j| radius (h_j: basis column).
+    radius = 2.0 * spec.sigma_k * np.sqrt(np.log(1e14)) * (1.0 + 1e-9)  # + roundoff
+    box = [np.flatnonzero(np.abs(w) <= radius * np.linalg.norm(h))
+           for w, h in zip(wrapped, pres.basis_matrix.T)]
+    dk = np.stack(np.meshgrid(*[w[b] for w, b in zip(wrapped, box)], indexing="ij"),
+                  axis=-1) @ pres.dual_matrix.T
     envelope = np.exp(-np.sum(dk * dk, axis=-1) / (4.0 * spec.sigma_k ** 2))
 
     for j in range(d):
-        seam = int(np.argmin(np.cos(thetas[j] - theta0[j])))
-        slicer = [slice(None)] * d
-        slicer[j] = seam
-        if float(np.max(envelope[tuple(slicer)])) > 1e-12:
-            raise ZoneLeakError(
-                f"sigma_k={spec.sigma_k} leaks past the mode-grid seam on axis {j}"
-            )
+        # A seam row outside the box is below 1e-14 there.
+        seam = np.flatnonzero(box[j] == np.argmin(np.cos(thetas[j] - theta0[j])))
+        if float(np.max(envelope.take(seam, axis=j), initial=0.0)) > 1e-12:
+            raise ZoneLeakError(f"sigma_k={spec.sigma_k} leaks past the mode-grid seam on axis {j}")
 
-    envelope = envelope.ravel()
-    index = np.flatnonzero(envelope > 1e-14)
+    keep = envelope > 1e-14
+    index = np.ravel_multi_index(np.ix_(*box), sizes)[keep]
     if index.size == 0:
         raise ValueError(f"sigma_k={spec.sigma_k} is narrower than the mode grid")
     plan = SpectralPlan(descriptor, sizes, index)
 
-    # One eig call: the reference operator A(theta0) heads the stack of the
-    # packet's modes.
+    # One projector call: the reference operator A(theta0) heads the stack of
+    # the packet's modes.
     reference = assemble(descriptor.rule, pres, theta0)
     projectors = _branch_projectors(
         np.concatenate([reference.reshape(1, s, s), plan.mats]), spec.branch
@@ -345,7 +365,7 @@ def packet_modes(spec, descriptor, lattice):
     theta_x0 = sum(thetas[j][coords[j]] * x0[j] for j in range(d))
     # A branch subspace orthogonal to the reference is a tail mode: left empty.
     weight = np.divide(
-        envelope[index] * np.exp(-1j * theta_x0), nv,
+        envelope[keep] * np.exp(-1j * theta_x0), nv,
         out=np.zeros(len(nv), dtype=complex), where=nv >= 1e-12,
     )
     amps = weight[:, None] * vecs
@@ -357,7 +377,7 @@ def packet_modes(spec, descriptor, lattice):
 def make_packet(spec, descriptor, lattice):
     """The packet of packet_modes as a normalized lattice state."""
     plan, hat = packet_modes(spec, descriptor, lattice)
-    return from_modes(plan.modes.scatter(hat), lattice, 0)
+    return FieldState(lattice, hat.shape[-1], plan.modes.ifftn(hat))
 
 
 class Moments(NamedTuple):

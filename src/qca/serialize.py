@@ -113,11 +113,17 @@ def _get(doc, key, kind):
     return value
 
 
+def _numbers(values, key, kind=float):
+    if not (isinstance(values, list) and all(isinstance(v, (int, float)) for v in values)):
+        raise DescriptorError(f"descriptor key {key!r} is not an array of numbers")
+    return tuple(kind(v) for v in values)
+
+
 def presentation_from_dict(doc):
     gens = tuple(
         Generator(
             label=_get(g, "label", str),
-            displacement=tuple(float(v) for v in _get(g, "displacement", list)),
+            displacement=_numbers(_get(g, "displacement", list), "displacement"),
             inverse_label=g.get("inverse_label", g["label"] + "^-1"),
         )
         for g in _get(doc, "generators", list)
@@ -126,15 +132,14 @@ def presentation_from_dict(doc):
     zone = BrillouinZone(
         kind=_get(zone, "kind", str),
         bounds=tuple(
-            (tuple(float(v) for v in _get(b, "normal", list)),
-             float(_get(b, "bound", (int, float))))
+            (_numbers(_get(b, "normal", list), "normal"), float(_get(b, "bound", (int, float))))
             for b in _get(zone, "bounds", list)
         ),
     )
     pres = CayleyPresentation(
         dimension=_get(doc, "dimension", int),
         generators_plus=gens,
-        relators=tuple(tuple(int(v) for v in r) for r in _get(doc, "relators", list)),
+        relators=tuple(_numbers(r, "relators", int) for r in _get(doc, "relators", list)),
         free_basis=tuple(_get(doc, "free_basis", list)),
         bz=zone,
         kind=doc.get("kind", "custom"),
@@ -196,7 +201,7 @@ def save_snapshot(state, path):
     header += struct.pack(f"<{len(sizes)}I", *sizes)
     header += struct.pack("<I", state.internal_dim)
     header += struct.pack("<q", state.time)
-    body = np.ascontiguousarray(state.amplitudes, dtype="<c16").tobytes()
+    body = np.ascontiguousarray(state.amplitudes, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(body)

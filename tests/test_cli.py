@@ -375,12 +375,26 @@ def _descriptor_with_bad_rows():
     return doc
 
 
+def _bcc_presentation_with(edit):
+    def make_doc():
+        doc = serialize.descriptor_to_dict(catalog.build_descriptor("bcc-a-plus"))
+        edit(doc["presentation"])
+        return doc
+    return make_doc
+
+
 @pytest.mark.parametrize("make_doc, key", [
     (lambda: {"presentation": {"dimension": 1}}, "generators"),
     (lambda: [1, 2], "presentation"),
     (_descriptor_without_matrices, "matrices"),
     (_descriptor_with_bad_rows, "h"),
-], ids=["no-generators", "list", "no-matrices", "bad-rows"])
+    (_bcc_presentation_with(lambda p: p["generators"][0].update(displacement=[[1]])),
+     "displacement"),
+    (_bcc_presentation_with(lambda p: p["zone"]["bounds"][0].update(normal=["1", 0.0, 0.0])),
+     "normal"),
+    (_bcc_presentation_with(lambda p: p["relators"][0].__setitem__(0, [1])), "relators"),
+], ids=["no-generators", "list", "no-matrices", "bad-rows", "nested-displacement",
+        "string-normal", "nested-relator-entry"])
 def test_malformed_descriptor_is_usage_error(capsys, tmp_path, make_doc, key):
     with pytest.raises(DescriptorError, match=repr(key)):
         serialize.descriptor_from_dict(make_doc())

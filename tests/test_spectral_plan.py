@@ -1,5 +1,6 @@
-"""SpectralPlan against independent oracles: step_direct, real-space moments
-and the per-mode eig + qr branch projector."""
+"""SpectralPlan and the packet against independent oracles: step_direct,
+real-space moments, the per-mode eig + qr and batched eig branch projectors,
+the dense envelope, and numpy.fft.ifftn for the pruned inverse FFT."""
 
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from qca import catalog, evolution
 from qca.automaton import AutomatonDescriptor, TransitionRule
 from qca.cayley import make_tiling
+from qca.errors import ZoneLeakError
 from qca.pauli import maxabs
 
 CHECKPOINTS = (1, 65, 10_000)
@@ -227,7 +229,7 @@ def test_support_plan_matches_dense_plan_and_direct(case):
     direct = _direct_checkpoints(state, descriptor)
     for n in CHECKPOINTS:
         advanced = plan.advance(hat, n)
-        support = evolution.from_modes(plan.modes.scatter(advanced), lattice, n)
+        support = evolution.FieldState(lattice, hat.shape[-1], plan.modes.ifftn(advanced), n)
         dense = evolution.step_spectral(state, descriptor, n)
         for other in (dense.amplitudes, direct[n]):
             err = maxabs(support.amplitudes - other)
@@ -296,3 +298,183 @@ def test_plan_rejects_mismatched_amplitudes():
         plan.advance(np.zeros((8, 2), dtype=complex), 1)
     with pytest.raises(ValueError):
         plan.advance(np.zeros((16, 2), dtype=complex), -1)
+
+
+def _scattered_ifftn(modes, hat):
+    """The reference inverse: the held modes scattered onto the grid, then ifftn."""
+    grid = np.zeros((modes.count, hat.shape[-1]), dtype=complex)
+    grid[modes.index] = hat
+    grid = grid.reshape(modes.sizes + hat.shape[-1:])
+    return np.fft.ifftn(grid, axes=tuple(range(len(modes.sizes))))
+
+
+@pytest.mark.parametrize("name,mass,sizes,k0,sigma", [
+    # k0 = 0: the support wraps across mode indices 0 and n - 1 on every axis.
+    ("bcc-a-plus", None, (16, 14, 12), (0.0, 0.0, 0.0), 0.2),
+    ("dirac-3d", 0.5, (14, 16, 13), (0.2, -0.1, 0.3), 0.2),
+    ("dirac-2d", 0.3, (16, 15), (0.4, -0.3), 0.2),
+    ("weyl-2d", None, (12, 16), (0.0, 0.0), 0.2),
+    ("weyl-1d", None, (32,), (0.5,), 0.2),
+    ("dirac-1d", 0.2, (31,), (-0.4,), 0.2),
+])
+def test_pruned_ifftn_is_bit_identical_to_ifftn(name, mass, sizes, k0, sigma):
+    descriptor = _descriptor(name, mass)
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    spec = evolution.WavePacketSpec(k0, sigma, tuple(n // 4 for n in sizes), "plus")
+    plan, hat = evolution.packet_modes(spec, descriptor, lattice)
+    assert len(plan.modes.index) < plan.modes.count
+    if not any(k0):
+        coords = np.unravel_index(plan.modes.index, sizes)
+        assert all({0, n - 1} <= set(c.tolist()) for c, n in zip(coords, sizes))
+    rng = np.random.default_rng(5)
+    noise = rng.normal(size=hat.shape) + 1j * rng.normal(size=hat.shape)
+    for amps in (hat, plan.advance(hat, 7), noise):
+        assert np.array_equal(plan.modes.ifftn(amps), _scattered_ifftn(plan.modes, amps))
+
+
+@pytest.mark.parametrize("sizes,s", [((6, 5, 4), 4), ((7, 8), 2), ((9,), 1)])
+def test_pruned_ifftn_full_grid_and_random_supports(sizes, s):
+    rng = np.random.default_rng(6)
+    count = int(np.prod(sizes))
+    subset = np.sort(rng.choice(count, size=count // 4, replace=False))
+    for index in (None, subset, np.array([count - 1])):
+        modes = evolution.Modes(sizes, index)
+        hat = rng.normal(size=(len(modes.index), s)) + 1j * rng.normal(size=(len(modes.index), s))
+        assert np.array_equal(modes.ifftn(hat), _scattered_ifftn(modes, hat))
+
+
+def _eig_projectors(mats, branch):
+    """Reference projectors V diag(want) V^-1 from one batched eig, with the
+    whole space where no branch is defined."""
+    vals, vecs = np.linalg.eig(mats)
+    phases = np.angle(vals)
+    want = phases <= 0 if branch == "plus" else phases > 0
+    gaps = np.abs(vals[..., :, None] - vals[..., None, :])
+    split = want[..., :, None] & ~want[..., None, :] & (gaps < evolution._BRANCH_GAP)
+    whole = np.all(want, axis=-1) | ~np.any(want, axis=-1) | np.any(split, axis=(-2, -1))
+    out = (vecs * want[..., None, :]) @ np.linalg.inv(vecs)
+    out[whole] = np.eye(mats.shape[-1])
+    return out
+
+
+_PROJECTOR_RULES = [(name, None) for name in catalog.WEYL_NAMES] + [
+    (name, mass) for name in catalog.DIRAC_NAMES for mass in (0.0, 0.3, 1.0)
+]
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("name,mass", _PROJECTOR_RULES)
+def test_closed_form_projectors_match_eig(name, mass, branch, monkeypatch):
+    descriptor = _descriptor(name, mass)
+    # Even sizes hold k = 0 and the theta_j = -pi zone faces; every Weyl and
+    # massless Dirac grid below holds a W = I and a W = -I mode.
+    sizes = {1: (16,), 2: (8, 8), 3: (6, 6, 6)}[descriptor.presentation.dimension]
+    plan = evolution.SpectralPlan(descriptor, sizes)
+    touching = plan.sin < 1e-8
+    assert plan.closed_form and (mass not in (None, 0.0) or touching.sum() >= 2)
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+    got = evolution._branch_projectors(plan.mats, branch)
+    monkeypatch.undo()
+    assert not calls
+    assert maxabs(got - _eig_projectors(plan.mats, branch)) < 1e-12
+    assert np.array_equal(got[touching], np.broadcast_to(np.eye(plan.mats.shape[-1]),
+                                                         got[touching].shape))
+
+
+def test_scalar_modes_keep_their_whole_space():
+    # W = exp(-i theta) I passes the closed-form test, but every eigenphase
+    # lies on one side: no branch is defined, as on the eig path.
+    descriptor = AutomatonDescriptor(
+        presentation=_descriptor("weyl-1d").presentation,
+        rule=TransitionRule(entries={"h": np.eye(2, dtype=complex)}, internal_dim=2),
+    )
+    plan = evolution.SpectralPlan(descriptor, (8,))
+    assert plan.closed_form
+    for branch in ("plus", "minus"):
+        got = evolution._branch_projectors(plan.mats, branch)
+        assert maxabs(got - _eig_projectors(plan.mats, branch)) == 0.0
+
+
+def test_tiled_rule_projectors_take_eig(monkeypatch):
+    descriptor = _descriptor("weyl-1d-x2")
+    plan = evolution.SpectralPlan(descriptor, (8,))
+    assert not plan.closed_form
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+    got = evolution._branch_projectors(plan.mats, "plus")
+    assert calls == [plan.mats.shape]
+    monkeypatch.undo()
+    assert np.array_equal(got, _eig_projectors(plan.mats, "plus"))
+
+
+def _dense_envelope(spec, pres, sizes):
+    """The packet envelope on every mode of the grid, and its largest value on
+    a seam row."""
+    theta0 = pres.theta_of(np.asarray(spec.center_k, dtype=float))
+    thetas = [2.0 * np.pi * np.fft.fftfreq(n) for n in sizes]
+    wrapped = [np.mod(t - t0 + np.pi, 2.0 * np.pi) - np.pi for t, t0 in zip(thetas, theta0)]
+    dk = np.stack(np.meshgrid(*wrapped, indexing="ij"), axis=-1) @ pres.dual_matrix.T
+    envelope = np.exp(-np.sum(dk * dk, axis=-1) / (4.0 * spec.sigma_k ** 2))
+    seams = [np.argmin(np.cos(t - t0)) for t, t0 in zip(thetas, theta0)]
+    leak = max(float(np.max(np.take(envelope, seam, axis=j))) for j, seam in enumerate(seams))
+    return envelope.ravel(), leak
+
+
+def _dense_packet(spec, descriptor, sizes):
+    """Index and amplitudes of the packet built on the whole grid with eig projectors."""
+    pres, s = descriptor.presentation, descriptor.internal_dim
+    envelope, leak = _dense_envelope(spec, pres, sizes)
+    assert leak <= 1e-12
+    index = np.flatnonzero(envelope > 1e-14)
+    mats = evolution.SpectralPlan(descriptor, sizes, index).mats
+    theta0 = pres.theta_of(np.asarray(spec.center_k, dtype=float))
+    ref_proj = _eig_projectors(evolution.assemble(descriptor.rule, pres, theta0)
+                               .reshape(1, s, s), spec.branch)[0]
+    norms = np.linalg.norm(ref_proj, axis=0)
+    ref = ref_proj[:, int(np.argmax(norms >= (1.0 - 1e-9) * np.max(norms)))]
+    vecs = _eig_projectors(mats, spec.branch) @ (ref / np.linalg.norm(ref))
+    nv = np.linalg.norm(vecs, axis=-1)
+    angles = evolution.Modes(sizes, index).angles()
+    phase = np.exp(-1j * sum(a * x for a, x in zip(angles, spec.center_x)))
+    weight = np.where(nv >= 1e-12, envelope[index] * phase / np.maximum(nv, 1e-300), 0.0)
+    amps = weight[:, None] * vecs
+    return index, amps * np.sqrt(envelope.size) / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+@pytest.mark.parametrize("case", sorted(SUPPORT_CASES))
+def test_box_envelope_packet_matches_dense_oracle(case, branch):
+    name, mass, sizes, k0, sigma = SUPPORT_CASES[case]
+    descriptor = _descriptor(name, mass)
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    spec = evolution.WavePacketSpec(k0, sigma, tuple(n // 3 for n in sizes), branch)
+    plan, hat = evolution.packet_modes(spec, descriptor, lattice)
+    index, amps = _dense_packet(spec, descriptor, sizes)
+    assert np.array_equal(plan.modes.index, index)
+    assert maxabs(hat - amps) <= 1e-13 * maxabs(amps)
+
+
+@pytest.mark.parametrize("name,sizes,k0", [
+    ("weyl-1d", (16,), (0.5,)),
+    ("bcc-a-plus", (8, 8, 8), (0.3, -0.2, 0.4)),
+    ("dirac-2d", (12, 10), (0.2, -0.5)),
+])
+def test_zone_leak_bound_matches_dense_envelope(name, sizes, k0):
+    descriptor = _descriptor(name)
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+
+    def spec(sigma):
+        return evolution.WavePacketSpec(k0, sigma, (0,) * len(sizes), "plus")
+
+    # The seam maximum grows with sigma: bisect for the sigma where it is 1e-12.
+    lo, hi = 1e-3, 10.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _dense_envelope(spec(mid), lattice.presentation, sizes)[1] > 1e-12 \
+            else (mid, hi)
+    below, above = lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)
+    assert _dense_envelope(spec(below), lattice.presentation, sizes)[1] <= 1e-12
+    evolution.packet_modes(spec(below), descriptor, lattice)
+    with pytest.raises(ZoneLeakError):
+        evolution.packet_modes(spec(above), descriptor, lattice)
