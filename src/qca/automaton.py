@@ -67,7 +67,7 @@ class IsotropyGroup:
             if set(perm.keys()) != labels or set(perm.values()) != labels:
                 raise ValueError("permutation must be a bijection of S")
             u = np.asarray(unitary)
-            if maxabs(u @ dagger(u) - np.eye(u.shape[0])) > 1e-12:
+            if not maxabs(u @ dagger(u) - np.eye(u.shape[0])) <= 1e-12:
                 raise ValueError("representation matrix is not unitary")
             perms.append(perm)
         # closure and transitivity on S_+
@@ -211,61 +211,39 @@ def check_covariance(descriptor):
         for label in labels:
             lhs = u @ rule.matrix(label) @ dagger(u)
             per[(idx, label)] = maxabs(lhs - rule.matrix(perm[label]))
-    worst = max(per.values()) if per else 0.0
-    return CovarianceReport(max_residual=worst, per_element=per)
+    return CovarianceReport(max_residual=maxabs(list(per.values())), per_element=per)
 
 
 def extract_transition_matrices(f, presentation, support):
     """Recover the transition matrices of a closed-form k -> A(k).
 
-    Samples f on the minimal regular grid in group coordinates and inverts
-    the discrete Fourier series exactly; entries outside the stated support
+    f maps wave-vectors of shape (..., d) to operators of shape (..., s, s).
+    It is sampled once on the minimal regular grid in group coordinates, and
+    one inverse FFT over the grid axes inverts the Fourier series exactly:
+    coefficient m sits at index m mod n.  Entries outside the stated support
     and a random-k reconstruction check both feed the residual.
     """
-    support = tuple(support)
-    coords = {lab: np.asarray(presentation.coordinates[lab], dtype=int) for lab in support}
     d = presentation.dimension
-    degree = [0] * d
-    for m in coords.values():
-        for j in range(d):
-            degree[j] = max(degree[j], abs(int(m[j])))
-    grid = [2 * g + 1 for g in degree]
-    probe = f(presentation.k_of_theta(np.zeros(d)))
-    s = probe.shape[0]
+    # Ascending coordinate tuples fix the order of the rule's labels.
+    support = sorted({presentation.coordinates[lab]: lab for lab in support}.items())
+    grid = tuple(2 * np.abs([m for m, _ in support]).max(axis=0) + 1)
+    axes = [2.0 * np.pi * np.arange(n) / n for n in grid]
+    theta = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    samples = np.asarray(f(presentation.k_of_theta(theta)), dtype=complex)
+    coeffs = np.fft.ifftn(samples, axes=tuple(range(d)))
 
-    samples = {}
-    for idx in product(*[range(n) for n in grid]):
-        theta = np.array([2.0 * np.pi * idx[j] / grid[j] for j in range(d)])
-        samples[idx] = np.asarray(f(presentation.k_of_theta(theta)), dtype=complex)
-
-    coeffs = {}
-    freq_ranges = [range(-g, g + 1) for g in degree]
-    for m in product(*freq_ranges):
-        acc = np.zeros((s, s), dtype=complex)
-        for idx, value in samples.items():
-            phase = sum(2.0 * np.pi * idx[j] * m[j] / grid[j] for j in range(d))
-            acc += np.exp(1j * phase) * value
-        coeffs[m] = acc / np.prod(grid)
-
-    support_coords = {tuple(int(v) for v in coords[lab]): lab for lab in support}
-    residuals = []
     entries = {}
-    for m, block in coeffs.items():
-        if m in support_coords:
-            if maxabs(block) > _DROP_TOL:
-                entries[support_coords[m]] = block
-        else:
-            residuals.append(block)
+    off_support = np.ones(grid, dtype=bool)
+    for m, label in support:
+        off_support[m] = False
+        if maxabs(coeffs[m]) > _DROP_TOL:
+            entries[label] = coeffs[m]
+    rule = TransitionRule(entries=entries, internal_dim=samples.shape[-1])
 
-    rule = TransitionRule(entries=entries, internal_dim=s)
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        theta = rng.uniform(-np.pi, np.pi, size=d)
-        k = presentation.k_of_theta(theta)
-        rebuilt = assemble(rule, presentation, theta)
-        residuals.append(rebuilt - f(k))
+    theta = np.random.default_rng(7).uniform(-np.pi, np.pi, size=(8, d))
+    mismatch = assemble(rule, presentation, theta.T) - f(presentation.k_of_theta(theta))
     # maxabs keeps a NaN, and NaN fails the test.
-    residual = maxabs(residuals)
+    residual = maxabs(np.concatenate([coeffs[off_support], mismatch]))
     if not residual <= _EXTRACT_TOL:
         raise SupportMismatchError(
             f"closed form is not supported on the stated labels (residual {residual:.3e})"

@@ -20,7 +20,7 @@ from .automaton import (
     extract_transition_matrices,
 )
 from .cayley import IDENTITY_LABEL, build_presentation, inverse_label
-from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, maxabs
 
 WEYL_NAMES = tuple(weyl_mod.named_variants().keys())
 DIRAC_NAMES = ("dirac-1d", "dirac-2d", "dirac-3d")
@@ -152,7 +152,7 @@ def validate_descriptor(descriptor, tolerance=1e-12):
     if descriptor.isotropy is not None:
         cov = check_covariance(descriptor)
         report["covariance"] = cov.as_dict()
-        worst = max(worst, cov.max_residual)
+        worst = maxabs([worst, cov.max_residual])
     report["max_residual"] = worst
     report["passed"] = bool(worst <= tolerance)
     return report

@@ -136,7 +136,9 @@ class CayleyPresentation:
         return self.basis_matrix.T @ np.asarray(k, dtype=float)
 
     def k_of_theta(self, theta):
-        return self.dual_matrix @ np.asarray(theta, dtype=float)
+        """Cartesian wave-vectors dual @ theta for angles of shape (..., d)."""
+        theta = np.asarray(theta, dtype=float)
+        return np.matmul(self.dual_matrix, theta[..., None])[..., 0]
 
     def check_invariants(self):
         """Raise if the relators, basis, or zone violate their contracts."""

@@ -79,8 +79,7 @@ def _cmd_dispersion(args):
     axis = np.arange(args.grid) * (2.0 * np.pi / args.grid) - np.pi
     # Rows in np.ndindex order: the last group coordinate varies fastest.
     theta = np.stack(np.meshgrid(*(axis,) * d, indexing="ij"), axis=-1).reshape(-1, d)
-    # A stack of matrix-vector products rounds as k_of_theta does row by row.
-    k = np.matmul(pres.dual_matrix, theta[..., None])[..., 0]
+    k = pres.k_of_theta(theta)
     if args.dirac:
         dd = dirac.DiracDescriptor(weyl=variant, mass=args.mass)
         sample = dirac.dirac_dispersion(dd, k)
@@ -147,12 +146,17 @@ def _cmd_evolve(args):
     start = evolution.mode_moments(hat, plan.modes)
     rows = []
     recorded = 0
+    # Means lie in [0, n); each record takes the image within n/2 of the
+    # previous one (the first, of x0), so the trajectory does not jump by n.
+    period = np.asarray(sizes, dtype=float)
+    position = np.asarray(spec.center_x, dtype=float)
     while recorded < args.steps:
         advance = min(stride, args.steps - recorded)
         hat = plan.advance(hat, advance)
         recorded += advance
         moments = evolution.mode_moments(hat, plan.modes)
-        rows.append([recorded, moments.norm] + [float(v) for v in basis @ moments.means])
+        position = moments.means - period * np.round((moments.means - position) / period)
+        rows.append([recorded, moments.norm] + [float(v) for v in basis @ position])
 
     if args.snapshot:
         state = evolution.FieldState(lattice, hat.shape[-1], plan.modes.ifftn(hat), recorded)

@@ -77,9 +77,13 @@ def _matrix_to_json(m):
 
 def _matrix_from_json(rows, key):
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (TypeError, ValueError):
         raise DescriptorError(f"descriptor matrix {key!r} is not rows of [re, im] pairs") from None
+    # Python's json reads NaN and Infinity.
+    if not np.all(np.isfinite(m)):
+        raise DescriptorError(f"descriptor matrix {key!r} has a non-finite entry")
+    return m
 
 
 def presentation_to_dict(presentation):
@@ -102,20 +106,21 @@ def presentation_to_dict(presentation):
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               (int, float): "a number"}
+               (int, float): "a finite number"}
 
 
 def _get(doc, key, kind):
     """doc[key]; a DescriptorError names the key if it is missing or ill-typed."""
     value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, float) and not math.isfinite(value)):
         raise DescriptorError(f"descriptor key {key!r} is missing or not {_JSON_TYPES[kind]}")
     return value
 
 
 def _numbers(values, key, kind=float):
-    if not (isinstance(values, list) and all(isinstance(v, (int, float)) for v in values)):
-        raise DescriptorError(f"descriptor key {key!r} is not an array of numbers")
+    if not (isinstance(values, list)
+            and all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)):
+        raise DescriptorError(f"descriptor key {key!r} is not an array of finite numbers")
     return tuple(kind(v) for v in values)
 
 

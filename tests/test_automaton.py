@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qca import catalog, weyl
 from qca.automaton import (
     AutomatonDescriptor,
+    IsotropyGroup,
     TransitionRule,
     assemble,
     check_covariance,
@@ -19,9 +22,10 @@ from qca.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, maxabs
 
 
 def _at_k(descriptor, k):
-    """A(k) at one Cartesian wave-vector."""
+    """A(k) at Cartesian wave-vectors k of shape (..., d)."""
     pres = descriptor.presentation
-    return assemble(descriptor.rule, pres, pres.theta_of(k))
+    theta = np.asarray(k, dtype=float) @ pres.basis_matrix
+    return assemble(descriptor.rule, pres, np.moveaxis(theta, -1, 0))
 
 
 def test_assemble_weyl1d_quarter_turn():
@@ -131,6 +135,29 @@ def test_covariance_requires_isotropy():
         check_covariance(d)
 
 
+def _bcc_with_nan_unitary():
+    """bcc-a-plus whose last isotropy element has a NaN representation."""
+    d = catalog.build_descriptor("bcc-a-plus")
+    perm, unitary = d.isotropy.elements[-1]
+    group = IsotropyGroup(elements=d.isotropy.elements[:-1] + ((perm, unitary * np.nan),))
+    return AutomatonDescriptor(presentation=d.presentation, rule=d.rule, isotropy=group)
+
+
+def test_isotropy_check_rejects_nan_unitary():
+    broken = _bcc_with_nan_unitary()
+    with pytest.raises(ValueError, match="not unitary"):
+        broken.isotropy.check_against(broken.presentation)
+
+
+def test_covariance_keeps_nan():
+    # Python's max drops a NaN that follows a number; the residual must not.
+    broken = _bcc_with_nan_unitary()
+    assert np.isnan(check_covariance(broken).max_residual)
+    report = catalog.validate_descriptor(broken)
+    assert np.isnan(report["max_residual"])
+    assert report["passed"] is False
+
+
 def test_covariance_invariant_under_global_conjugation():
     d = catalog.build_descriptor("bcc-a-plus")
     base = check_covariance(d).max_residual
@@ -141,8 +168,6 @@ def test_covariance_invariant_under_global_conjugation():
     elements = tuple(
         (perm, v @ np.asarray(unit) @ dagger(v)) for perm, unit in d.isotropy.elements
     )
-    from qca.automaton import IsotropyGroup
-
     conj = AutomatonDescriptor(
         presentation=d.presentation,
         rule=TransitionRule(entries=entries, internal_dim=2),
@@ -154,7 +179,9 @@ def test_covariance_invariant_under_global_conjugation():
 def test_extraction_constant_identity():
     p = build_presentation("square_2d")
     rule = extract_transition_matrices(
-        lambda k: np.eye(2, dtype=complex), p, p.signed_labels() + ("e",)
+        lambda k: np.broadcast_to(np.eye(2, dtype=complex), np.shape(k)[:-1] + (2, 2)),
+        p,
+        p.signed_labels() + ("e",),
     )
     assert set(rule.entries) == {"e"}
     assert maxabs(rule.entries["e"] - np.eye(2)) < 1e-14
@@ -191,6 +218,25 @@ def test_extraction_round_trip_random_rule():
         assert maxabs(recovered.entries[lab] - blk) < 1e-12, lab
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["line", "square_2d", "bcc_3d"]),
+    with_identity=st.booleans(),
+    s=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_extraction_recovers_random_rules(kind, with_identity, s, seed):
+    p = build_presentation(kind)
+    support = p.signed_labels() + (("e",) if with_identity else ())
+    rng = np.random.default_rng(seed)
+    entries = {lab: rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s)) for lab in support}
+    d = AutomatonDescriptor(presentation=p, rule=TransitionRule(entries=entries, internal_dim=s))
+    recovered = extract_transition_matrices(lambda k: _at_k(d, k), p, support)
+    assert set(recovered.entries) == set(entries)
+    for lab, blk in entries.items():
+        assert maxabs(recovered.entries[lab] - blk) < 1e-12, lab
+
+
 def test_extraction_support_mismatch():
     v = weyl.WeylVariant(3)
     p = build_presentation("bcc_3d")
@@ -208,7 +254,8 @@ def test_extraction_rejects_nan_off_the_sampling_grid():
 
     def closed_form(k):
         w = weyl.weyl_matrix(v, k)
-        return w * np.nan if 0.1 < abs(k[0]) < 1.0 else w
+        band = (np.abs(k[..., 0]) > 0.1) & (np.abs(k[..., 0]) < 1.0)
+        return np.where(band[..., None, None], np.nan, w)
 
     with pytest.raises(SupportMismatchError, match="nan"):
         extract_transition_matrices(closed_form, p, p.signed_labels())

@@ -15,6 +15,8 @@ from qca.cayley import make_tiling
 from qca.cli import main
 from qca.errors import DescriptorError
 
+NAN = float("nan")
+
 # One small run of every subcommand.
 SMALL_RUNS = {
     "graph": ["graph", "--kind", "line"],
@@ -192,6 +194,24 @@ def test_evolve_at_the_seam_keeps_its_output(capsys, tmp_path):
     assert [line.split(",")[0] for line in obs.read_text().splitlines()] == [
         "step", "1", "2", "3", "4"
     ]
+
+
+def test_evolve_observables_do_not_jump_by_a_lattice_vector(capsys, tmp_path):
+    # x0 = 0 puts the circular means at the seam, where [0, n) splits them.
+    obs = tmp_path / "obs.csv"
+    code, _, _ = _run(
+        capsys,
+        [
+            "evolve", "--builtin", "bcc-a-plus", "--sizes", "32,32,32",
+            "--steps", "24", "--record-every", "1",
+            "--packet", "k0=0.2,0,0;sigma=0.15", "--observables", str(obs),
+        ],
+    )
+    assert code == 0
+    rows = np.loadtxt(obs, delimiter=",", skiprows=1)
+    assert rows.shape == (24, 5)
+    jumps = np.linalg.norm(np.diff(rows[:, 2:], axis=0), axis=1)
+    assert np.all(jumps < 2.0), jumps.max()
 
 
 def test_evolve_rejects_non_positive_steps(capsys):
@@ -375,6 +395,12 @@ def _descriptor_with_bad_rows():
     return doc
 
 
+def _descriptor_with_nan_entry():
+    doc = serialize.descriptor_to_dict(catalog.build_descriptor("weyl-1d"))
+    doc["matrices"]["h"][0][0] = [NAN, 0.0]
+    return doc
+
+
 def _bcc_presentation_with(edit):
     def make_doc():
         doc = serialize.descriptor_to_dict(catalog.build_descriptor("bcc-a-plus"))
@@ -393,8 +419,14 @@ def _bcc_presentation_with(edit):
     (_bcc_presentation_with(lambda p: p["zone"]["bounds"][0].update(normal=["1", 0.0, 0.0])),
      "normal"),
     (_bcc_presentation_with(lambda p: p["relators"][0].__setitem__(0, [1])), "relators"),
+    (_bcc_presentation_with(lambda p: p["zone"]["bounds"][0].update(normal=[NAN, 0.0, 0.0])),
+     "normal"),
+    (_bcc_presentation_with(lambda p: p["zone"]["bounds"][0].update(bound=float("inf"))),
+     "bound"),
+    (_descriptor_with_nan_entry, "h"),
 ], ids=["no-generators", "list", "no-matrices", "bad-rows", "nested-displacement",
-        "string-normal", "nested-relator-entry"])
+        "string-normal", "nested-relator-entry", "nan-normal", "infinite-bound",
+        "nan-matrix-entry"])
 def test_malformed_descriptor_is_usage_error(capsys, tmp_path, make_doc, key):
     with pytest.raises(DescriptorError, match=repr(key)):
         serialize.descriptor_from_dict(make_doc())
