@@ -50,10 +50,8 @@ from .evolution import (
 )
 from .fock import FockOracle, fock_commutator_deviation
 from .maxwell import (
-    TwoFieldState,
     angular_momentum_identity_residual,
     bilinear_G,
-    maxwell_residual,
     mode_maxwell_residual,
     polarization_basis,
     transverse_project,

@@ -7,7 +7,7 @@ for every k exactly when the transition matrices satisfy the completeness
 and off-diagonal conditions checked below.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -132,34 +132,13 @@ def assemble(rule, presentation, theta):
     return out.reshape(shape + (s, s))
 
 
-@dataclass
-class UnitarityReport:
-    """Max-norm residuals of the transition-matrix unitarity conditions."""
-
-    completeness_left: float
-    completeness_right: float
-    offdiagonal: dict = field(default_factory=dict)  # group elt -> (left, right)
-
-    @property
-    def max_residual(self):
-        values = [v for pair in self.offdiagonal.values() for v in pair]
-        return maxabs([self.completeness_left, self.completeness_right] + values)
-
-    def as_dict(self):
-        return {
-            "completeness_left": self.completeness_left,
-            "completeness_right": self.completeness_right,
-            "offdiagonal": {
-                ",".join(str(v) for v in key): [left, right]
-                for key, (left, right) in sorted(self.offdiagonal.items())
-            },
-            "max_residual": self.max_residual,
-        }
-
-
 def check_unitarity_conditions(rule, presentation):
     """Residuals of sum A_h^+ A_h = sum A_h A_h^+ = I and, for every nonzero
-    group element reachable as h^-1 h', of the two interference sums."""
+    group element reachable as h^-1 h', of the two interference sums.
+
+    Returns the dict that `qca validate` emits under "unitarity"; offdiagonal
+    maps "m1,...,md" to [left, right], and max_residual keeps a NaN.
+    """
     labels = list(rule.entries.keys())
     coords = {lab: np.asarray(presentation.coordinates[lab], dtype=int) for lab in labels}
     s = rule.internal_dim
@@ -174,33 +153,23 @@ def check_unitarity_conditions(rule, presentation):
         zero = np.zeros((s, s), dtype=complex)
         acc_left[diff] = acc_left.get(diff, zero) + dagger(rule.entries[ha]) @ rule.entries[hb]
         acc_right[diff] = acc_right.get(diff, zero) + rule.entries[hb] @ dagger(rule.entries[ha])
-    offdiag = {
-        diff: (maxabs(acc_left[diff]), maxabs(acc_right[diff])) for diff in acc_left
+    completeness = [maxabs(left - eye), maxabs(right - eye)]
+    offdiagonal = {",".join(str(v) for v in diff): [maxabs(acc_left[diff]), maxabs(acc_right[diff])]
+                   for diff in acc_left}
+    return {
+        "completeness_left": completeness[0],
+        "completeness_right": completeness[1],
+        "offdiagonal": offdiagonal,
+        "max_residual": maxabs(completeness + [v for pair in offdiagonal.values() for v in pair]),
     }
-    return UnitarityReport(
-        completeness_left=maxabs(left - eye),
-        completeness_right=maxabs(right - eye),
-        offdiagonal=offdiag,
-    )
-
-
-@dataclass
-class CovarianceReport:
-    max_residual: float
-    per_element: dict  # (element index, label) -> residual
-
-    def as_dict(self):
-        return {
-            "max_residual": self.max_residual,
-            "per_element": {
-                f"{idx}:{label}": value
-                for (idx, label), value in sorted(self.per_element.items())
-            },
-        }
 
 
 def check_covariance(descriptor):
-    """Residual of U_l A_h U_l^+ = A_{l(h)} over the whole isotropy group."""
+    """Residual of U_l A_h U_l^+ = A_{l(h)} over the whole isotropy group.
+
+    Returns the dict that `qca validate` emits under "covariance":
+    per_element maps "index:label" to its residual.
+    """
     if descriptor.isotropy is None:
         raise ValueError("descriptor carries no isotropy group")
     rule = descriptor.rule
@@ -210,8 +179,8 @@ def check_covariance(descriptor):
         u = np.asarray(unitary, dtype=complex)
         for label in labels:
             lhs = u @ rule.matrix(label) @ dagger(u)
-            per[(idx, label)] = maxabs(lhs - rule.matrix(perm[label]))
-    return CovarianceReport(max_residual=maxabs(list(per.values())), per_element=per)
+            per[f"{idx}:{label}"] = maxabs(lhs - rule.matrix(perm[label]))
+    return {"max_residual": maxabs(list(per.values())), "per_element": per}
 
 
 def extract_transition_matrices(f, presentation, support):

@@ -143,16 +143,11 @@ def builtin_names():
 def validate_descriptor(descriptor, tolerance=1e-12):
     """Unitarity (and covariance, when an isotropy group is present) report."""
     unit = check_unitarity_conditions(descriptor.rule, descriptor.presentation)
-    report = {
-        "name": descriptor.name,
-        "unitarity": unit.as_dict(),
-        "tolerance": tolerance,
-    }
-    worst = unit.max_residual
+    report = {"name": descriptor.name, "unitarity": unit, "tolerance": tolerance}
+    worst = unit["max_residual"]
     if descriptor.isotropy is not None:
-        cov = check_covariance(descriptor)
-        report["covariance"] = cov.as_dict()
-        worst = maxabs([worst, cov.max_residual])
+        report["covariance"] = check_covariance(descriptor)
+        worst = maxabs([worst, report["covariance"]["max_residual"]])
     report["max_residual"] = worst
     report["passed"] = bool(worst <= tolerance)
     return report

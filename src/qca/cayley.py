@@ -317,29 +317,29 @@ class TilingMap:
     def basis_matrix(self):
         return np.array(self.subgroup_basis, dtype=int).T  # columns
 
+    @cached_property
+    def _adj_det(self):
+        """(adj(M), det(M)), computed once per tiling (make_tiling fills it in)."""
+        return _adjugate(self.basis_matrix)
+
+    @cached_property
+    def _coset_of_key(self):
+        return {self.coset_key(rep): i for i, rep in enumerate(self.coset_reps)}
+
     def coset_key(self, x):
-        """Exact integer coset invariant: adj(M) @ x mod det(M)."""
-        m = self.basis_matrix
-        det = int(round(np.linalg.det(m)))
-        adj = np.rint(np.linalg.inv(m) * det).astype(int)
-        return tuple((adj @ np.asarray(x, dtype=int)) % abs(det))
+        """Exact integer coset invariant: adj(M) @ x mod |det(M)|."""
+        return tuple((self._adj_det[0] @ np.asarray(x, dtype=int)) % self.index)
 
     def coset_index(self, x):
-        key = self.coset_key(x)
-        for i, rep in enumerate(self.coset_reps):
-            if self.coset_key(rep) == key:
-                return i
-        raise ValueError(f"{x} matches no enumerated coset")  # pragma: no cover
+        return self._coset_of_key[self.coset_key(x)]
 
     def decompose(self, x):
         """Split x = rep + M @ g' and return (coset index, sublattice coords g')."""
         i = self.coset_index(x)
         delta = np.asarray(x, dtype=int) - np.asarray(self.coset_reps[i], dtype=int)
-        g = np.linalg.solve(self.basis_matrix, delta)
-        gi = np.rint(g).astype(int)
-        if np.max(np.abs(g - gi)) > 1e-9:  # pragma: no cover
-            raise ValueError("coset decomposition failed")
-        return i, gi
+        # x and the rep share a coset key, so adj(M) @ delta = det(M) g' exactly.
+        adj, det = self._adj_det
+        return i, (adj @ delta) // det
 
 
 def make_tiling(presentation, subgroup_basis):
@@ -354,19 +354,24 @@ def make_tiling(presentation, subgroup_basis):
     m = np.array(vectors, dtype=int).T
     if m.shape != (presentation.dimension, presentation.dimension):
         raise ValueError("subgroup basis must contain d integer d-vectors")
-    det = int(round(np.linalg.det(m)))
-    if det == 0:
-        raise ValueError("subgroup basis is singular")
+    adj, det = _adjugate(m)
     r = abs(det)
     if r > 4096:
         raise ValueError(f"sublattice index {r} too large to enumerate")
-    adj = np.rint(np.linalg.inv(m) * det).astype(int)
     seen = {}
     for x in product(range(r), repeat=presentation.dimension):
-        key = tuple((adj @ np.asarray(x, dtype=int)) % r)
-        if key not in seen:
-            seen[key] = x
+        seen.setdefault(tuple((adj @ np.asarray(x, dtype=int)) % r), x)
         if len(seen) == r:
             break
     reps = tuple(sorted(seen.values()))
-    return TilingMap(parent=presentation, subgroup_basis=vectors, coset_reps=reps, index=r)
+    tiling = TilingMap(parent=presentation, subgroup_basis=vectors, coset_reps=reps, index=r)
+    tiling.__dict__["_adj_det"] = (adj, det)  # the cached property's value, already computed
+    return tiling
+
+
+def _adjugate(m):
+    """(adj(M), det(M)) of an integer matrix; raises if M is singular."""
+    det = int(round(np.linalg.det(m)))
+    if det == 0:
+        raise ValueError("subgroup basis is singular")
+    return np.rint(np.linalg.inv(m) * det).astype(int), det

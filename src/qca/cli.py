@@ -197,10 +197,9 @@ def _cmd_maxwell(args):
     psi /= np.linalg.norm(psi)
     phi /= np.linalg.norm(phi)
     k = _parse_vector(args.k, 3)
-    report = maxwell.mode_maxwell_residual(
+    payload = maxwell.mode_maxwell_residual(
         psi, phi, k, args.dt, t_max=args.time, variant=variant
     )
-    payload = report.as_dict()
     payload["k"] = [float(v) for v in k]
     payload["dt"] = args.dt
     payload["time"] = args.time

@@ -428,7 +428,8 @@ def _seam_checked_means(moments, sizes):
     for j, resultant in enumerate(moments.resultants):
         r = min(max(resultant, 1e-300), 1.0)
         circ_std = np.sqrt(max(-2.0 * np.log(r), 0.0)) * sizes[j] / (2.0 * np.pi)
-        if 3.0 * circ_std >= sizes[j] / 2.0:
+        # Written so that a NaN resultant fails the check.
+        if not 3.0 * circ_std < sizes[j] / 2.0:
             raise PacketBoundaryError(
                 f"packet mass within 3 sigma of the wrap seam on axis {j}"
             )
@@ -467,54 +468,31 @@ def coarse_presentation(tiling):
     basis = tiling.basis_matrix  # columns, parent free coords
     embed = parent.basis_matrix @ basis  # columns, Cartesian
 
-    needed = set()
+    # The unit vectors (the free basis) and every reachable shift, each in the
+    # sign whose first nonzero entry is positive: max(g, -g) under tuple order.
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    needed = set(units)
     for rep in tiling.coset_reps:
         for label in list(parent.signed_labels()) + [IDENTITY_LABEL]:
-            shift = np.asarray(rep, dtype=int) - np.asarray(
-                parent.coordinates[label], dtype=int
-            )
+            shift = np.subtract(rep, parent.coordinates[label])
             _, g = tiling.decompose(shift)
             if any(g):
-                needed.add(tuple(int(v) for v in -g))
-    for j in range(d):
-        unit = tuple(1 if i == j else 0 for i in range(d))
-        needed.add(unit)
+                g = tuple(int(v) for v in g)
+                needed.add(max(g, tuple(-v for v in g)))
+    positives = sorted(needed)
 
-    def _canonical(coords):
-        for v in coords:
-            if v > 0:
-                return coords
-            if v < 0:
-                return tuple(-w for w in coords)
-        return coords
-
-    positives = sorted({_canonical(coords) for coords in needed})
-
-    gens = []
-    for i, coords in enumerate(positives):
-        label = f"t{i + 1}"
-        disp = tuple(float(v) for v in embed @ np.asarray(coords, dtype=float))
-        gens.append((label, disp, coords))
-
-    # Free basis: the standard sublattice directions, which are always present
-    # because the canonical ordering keeps the positive unit vectors.
-    unit_labels = []
-    for j in range(d):
-        unit = tuple(1 if i == j else 0 for i in range(d))
-        for label, _, coords in gens:
-            if coords == unit:
-                unit_labels.append(label)
-                break
-
+    labels = [f"t{i + 1}" for i in range(len(positives))]
     generator_objs = tuple(
-        Generator(label, disp, inverse_label(label)) for label, disp, _ in gens
+        Generator(label, tuple(float(v) for v in embed @ np.asarray(coords, dtype=float)),
+                  inverse_label(label))
+        for label, coords in zip(labels, positives)
     )
     zone = voronoi_zone(2.0 * np.pi * np.linalg.inv(embed.T), kind="voronoi")
     pres = CayleyPresentation(
         dimension=d,
         generators_plus=generator_objs,
         relators=(),
-        free_basis=tuple(unit_labels),
+        free_basis=tuple(labels[positives.index(unit)] for unit in units),
         bz=zone,
         kind="tiled",
     )
@@ -533,17 +511,12 @@ def tile_descriptor(descriptor, tiling):
     r = tiling.index
     s = descriptor.internal_dim
     coarse_pres = coarse_presentation(tiling)
-    coords_to_label = {}
-    for label in coarse_pres.signed_labels():
-        coords_to_label[tuple(coarse_pres.coordinates[label])] = label
-    coords_to_label[tuple([0] * pres.dimension)] = IDENTITY_LABEL
+    coords_to_label = {coords: label for label, coords in coarse_pres.coordinates.items()}
 
     blocks = {}
     for i, rep in enumerate(tiling.coset_reps):
         for label, block in descriptor.rule.entries.items():
-            shift = np.asarray(rep, dtype=int) - np.asarray(
-                pres.coordinates[label], dtype=int
-            )
+            shift = np.subtract(rep, pres.coordinates[label])
             j, g = tiling.decompose(shift)
             key = tuple(int(v) for v in -g)
             coarse_label = coords_to_label[key]
@@ -558,18 +531,13 @@ def tile_descriptor(descriptor, tiling):
 
 def _coarse_sizes(tiling, sizes):
     basis = tiling.basis_matrix
-    d = basis.shape[0]
     if np.any(basis != np.diag(np.diag(basis))):
         raise ValueError("state regrouping supports diagonal sublattice bases only")
     diag = np.abs(np.diag(basis))
-    out = []
-    for j in range(d):
-        if sizes[j] % diag[j]:
-            raise ValueError(
-                f"lattice size {sizes[j]} not divisible by sublattice step {diag[j]}"
-            )
-        out.append(sizes[j] // int(diag[j]))
-    return tuple(int(v) for v in out), diag.astype(int)
+    for n, step in zip(sizes, diag):
+        if n % step:
+            raise ValueError(f"lattice size {n} not divisible by sublattice step {step}")
+    return tuple(int(n // step) for n, step in zip(sizes, diag)), diag
 
 
 def apply_tiling(state, tiling):
@@ -578,12 +546,11 @@ def apply_tiling(state, tiling):
     coarse_sizes, diag = _coarse_sizes(tiling, sizes)
     s = state.internal_dim
     r = tiling.index
-    d = len(sizes)
     coarse_pres = coarse_presentation(tiling)
     coarse_lattice = LatticeSpec(presentation=coarse_pres, sizes=coarse_sizes)
     out = np.zeros(tuple(coarse_sizes) + (s * r,), dtype=complex)
     for i, rep in enumerate(tiling.coset_reps):
-        slicer = tuple(slice(int(rep[j]), None, int(diag[j])) for j in range(d))
+        slicer = tuple(slice(start, None, step) for start, step in zip(rep, diag))
         out[..., i * s:(i + 1) * s] = state.amplitudes[slicer]
     return FieldState(
         lattice=coarse_lattice, internal_dim=s * r, amplitudes=out, time=state.time

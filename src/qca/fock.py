@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maxwell
-from .pauli import pauli_dot
+from .pauli import maxabs, pauli_dot
 
 _POLARIZATION_K = np.array([0.0, 0.0, 0.4])
 _MAX_MODES = 512  # fermionic modes
@@ -179,10 +179,11 @@ def anticommutator_residual(n_modes=6, max_excitations=2):
     on the basis of states with at most `max_excitations` fermions."""
     from itertools import combinations
 
-    worst = 0.0
     basis = [()]
     for count in range(1, max_excitations + 1):
         basis.extend(combinations(range(n_modes), count))
+    # Reduced by maxabs, which keeps a NaN norm that Python's max would drop.
+    norms = []
     for occ in basis:
         mask = 0
         for mode in occ:
@@ -195,9 +196,8 @@ def anticommutator_residual(n_modes=6, max_excitations=2):
                 add_scaled(ac, apply_creation(apply_annihilation(state, i), j), 1.0)
                 if i == j:
                     add_scaled(ac, state, -1.0)
-                worst = max(worst, state_norm(ac))
                 aa = {}
                 add_scaled(aa, apply_annihilation(apply_annihilation(state, j), i), 1.0)
                 add_scaled(aa, apply_annihilation(apply_annihilation(state, i), j), 1.0)
-                worst = max(worst, state_norm(aa))
-    return worst
+                norms += [state_norm(ac), state_norm(aa)]
+    return maxabs(norms)

@@ -16,34 +16,12 @@ All dynamics here is c-number (single-particle amplitudes); the operator
 content enters only through the exact few-mode oracle in the fock module.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import weyl
-from .evolution import FieldState
-from .pauli import (
-    PAULI,
-    maxabs,
-    rotation_about,
-    su2_exp,
-)
+from .pauli import PAULI, maxabs, rotation_about, su2_exp
 
 _DEFAULT_VARIANT = weyl.WeylVariant(3, kind="A", sign=1)
-
-
-@dataclass(frozen=True)
-class TwoFieldState:
-    """Lattice pair: psi stepped by W, phi stepped by the conjugate W*."""
-
-    psi: FieldState
-    phi: FieldState
-
-    def __post_init__(self):
-        if self.psi.lattice != self.phi.lattice:
-            raise ValueError("the two fields must share one lattice")
-        if self.psi.internal_dim != 2 or self.phi.internal_dim != 2:
-            raise ValueError("both fields must carry two components")
 
 
 def bilinear_G(psi_amp, phi_amp):
@@ -104,43 +82,9 @@ def electric_magnetic(g_t, k, variant=_DEFAULT_VARIANT):
     return e_field, b_field
 
 
-@dataclass(frozen=True)
-class MaxwellReport:
-    """Residuals of the transverse-field dynamics at one wave-vector."""
-
-    rotation_vs_spinor: float
-    finite_difference: float
-    transversality_e: float
-    transversality_b: float
-    dynamics_e: float
-    dynamics_b: float
-
-    @property
-    def max_residual(self):
-        return maxabs([
-            self.rotation_vs_spinor,
-            self.finite_difference,
-            self.transversality_e,
-            self.transversality_b,
-            self.dynamics_e,
-            self.dynamics_b,
-        ])
-
-    def as_dict(self):
-        return {
-            "rotation_vs_spinor": self.rotation_vs_spinor,
-            "finite_difference": self.finite_difference,
-            "transversality_E": self.transversality_e,
-            "transversality_B": self.transversality_b,
-            "dynamics_E": self.dynamics_e,
-            "dynamics_B": self.dynamics_b,
-            "max_residual": self.max_residual,
-        }
-
-
 def mode_maxwell_residual(psi_amp, phi_amp, k, dt, times=(0.0, 1.0, 2.5),
                           t_max=10.0, variant=_DEFAULT_VARIANT):
-    """Dynamics residuals for one mode pair.
+    """Dynamics residuals for one mode pair, as the dict `qca maxwell` emits.
 
     Central differences with step dt probe d/dt G_T = Omega x G_T and the
     four transverse-field equations; the rigid-rotation form is compared
@@ -170,36 +114,16 @@ def mode_maxwell_residual(psi_amp, phi_amp, k, dt, times=(0.0, 1.0, 2.5),
         de.append(e_deriv[0] - np.cross(omega_vec, e_mid))
         db.append(e_deriv[1] - np.cross(omega_vec, b_mid))
 
-    return MaxwellReport(
-        rotation_vs_spinor=rot_res,
-        finite_difference=maxabs(fd),
-        transversality_e=maxabs(he),
-        transversality_b=maxabs(hb),
-        dynamics_e=maxabs(de),
-        dynamics_b=maxabs(db),
-    )
-
-
-def maxwell_residual(state, k, dt, variant=_DEFAULT_VARIANT, **kwargs):
-    """Residual report for the lattice mode of a TwoFieldState nearest k/2.
-
-    k/2 must land on the state's wave-vector grid (within 1e-9 in group
-    coordinates); otherwise use mode_maxwell_residual with explicit spinors.
-    """
-    pres = state.psi.lattice.presentation
-    sizes = state.psi.lattice.sizes
-    theta_half = pres.theta_of(np.asarray(k, dtype=float) / 2.0)
-    idx = []
-    for j, n_j in enumerate(sizes):
-        pos = theta_half[j] * n_j / (2.0 * np.pi)
-        nearest = int(np.rint(pos)) % n_j
-        if abs(pos - np.rint(pos)) > 1e-9:
-            raise ValueError("k/2 does not lie on the lattice wave-vector grid")
-        idx.append(nearest)
-    axes = tuple(range(len(sizes)))
-    psi_hat = np.fft.fftn(state.psi.amplitudes, axes=axes)[tuple(idx)]
-    phi_hat = np.fft.fftn(state.phi.amplitudes, axes=axes)[tuple(idx)]
-    return mode_maxwell_residual(psi_hat, phi_hat, k, dt, variant=variant, **kwargs)
+    report = {
+        "rotation_vs_spinor": rot_res,
+        "finite_difference": maxabs(fd),
+        "transversality_E": maxabs(he),
+        "transversality_B": maxabs(hb),
+        "dynamics_E": maxabs(de),
+        "dynamics_B": maxabs(db),
+    }
+    report["max_residual"] = maxabs(list(report.values()))
+    return report
 
 
 def angular_momentum_identity_residual(v):

@@ -189,6 +189,10 @@ def descriptor_from_dict(doc):
                 for e in _get(doc["isotropy"], "elements", list)
             )
         )
+        try:
+            isotropy.check_against(presentation)
+        except ValueError as exc:
+            raise DescriptorError(f"descriptor key 'isotropy' is invalid: {exc}") from None
     return AutomatonDescriptor(
         presentation=presentation,
         rule=rule,

@@ -75,7 +75,7 @@ def test_criterion_01_unitarity_suite():
     worst_rule = worst_operator = 0.0
     for name, descriptor in _all_descriptors():
         rule_report = check_unitarity_conditions(descriptor.rule, descriptor.presentation)
-        worst_rule = max(worst_rule, rule_report.max_residual)
+        worst_rule = max(worst_rule, rule_report["max_residual"])
         ks = _sample_zone(descriptor.presentation, 1000, seed=zlib.crc32(name.encode()))
         mats = _assemble_at(descriptor, ks)
         s = descriptor.internal_dim
@@ -98,7 +98,7 @@ def test_criterion_02_covariance_suite():
     for name in ("bcc-a-plus", "bcc-a-minus", "bcc-b-plus", "bcc-b-minus",
                  "weyl-2d", "weyl-2d-b"):
         descriptor = catalog.build_descriptor(name)
-        worst = max(worst, check_covariance(descriptor).max_residual)
+        worst = max(worst, check_covariance(descriptor)["max_residual"])
     elapsed = time.perf_counter() - started
     _report(
         2,
@@ -421,7 +421,7 @@ def test_criterion_08_maxwell_suite():
     k = np.array([0.6, 0.2, -0.4])
     dts = np.array([0.2, 0.1, 0.05, 0.025])
     residuals = [
-        maxwell.mode_maxwell_residual(psi, phi, k, dt).finite_difference for dt in dts
+        maxwell.mode_maxwell_residual(psi, phi, k, dt)["finite_difference"] for dt in dts
     ]
     fd_slope = np.polyfit(np.log(dts), np.log(residuals), 1)[0]
 

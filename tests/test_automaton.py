@@ -63,14 +63,14 @@ def test_unitarity_conditions_weyl_rules():
     for name in catalog.builtin_names():
         d = catalog.build_descriptor(name)
         report = check_unitarity_conditions(d.rule, d.presentation)
-        assert report.max_residual < 1e-12, name
+        assert report["max_residual"] < 1e-12, name
 
 
 def test_unitarity_identity_rule():
     p = build_presentation("line")
     d = catalog.identity_descriptor(p)
     report = check_unitarity_conditions(d.rule, d.presentation)
-    assert report.max_residual == 0.0
+    assert report["max_residual"] == 0.0
 
 
 def test_unitarity_witness_single_block():
@@ -78,10 +78,10 @@ def test_unitarity_witness_single_block():
     block = np.array([[1.0, 0.3], [0.0, 0.5]], dtype=complex)
     rule = TransitionRule(entries={"h": block}, internal_dim=2)
     report = check_unitarity_conditions(rule, p)
-    assert report.completeness_left == pytest.approx(
+    assert report["completeness_left"] == pytest.approx(
         maxabs(dagger(block) @ block - np.eye(2))
     )
-    assert report.max_residual > 0.1
+    assert report["max_residual"] > 0.1
 
 
 def test_unitarity_bounds_k_operator_residual():
@@ -94,7 +94,7 @@ def test_unitarity_bounds_k_operator_residual():
     }
     rule = TransitionRule(entries=entries, internal_dim=2)
     perturbed = AutomatonDescriptor(presentation=d.presentation, rule=rule)
-    tau = check_unitarity_conditions(rule, d.presentation).max_residual
+    tau = check_unitarity_conditions(rule, d.presentation)["max_residual"]
     terms = 1 + len({tuple(d.presentation.coordinates[a]) for a in entries})
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -106,13 +106,13 @@ def test_unitarity_bounds_k_operator_residual():
 def test_covariance_bcc_binary_rotations():
     for name in ("bcc-a-plus", "bcc-a-minus", "bcc-b-plus", "bcc-b-minus"):
         d = catalog.build_descriptor(name)
-        assert check_covariance(d).max_residual < 1e-12, name
+        assert check_covariance(d)["max_residual"] < 1e-12, name
 
 
 def test_covariance_square_swap_group():
     for name in ("weyl-2d", "weyl-2d-b"):
         d = catalog.build_descriptor(name)
-        assert check_covariance(d).max_residual < 1e-12, name
+        assert check_covariance(d)["max_residual"] < 1e-12, name
 
 
 def test_covariance_trivial_group_any_rule():
@@ -126,7 +126,7 @@ def test_covariance_trivial_group_any_rule():
         elements=(({"h": "h", "h^-1": "h^-1"}, np.eye(2)),)
     )
     d = AutomatonDescriptor(presentation=p, rule=rule, isotropy=trivial)
-    assert check_covariance(d).max_residual == 0.0
+    assert check_covariance(d)["max_residual"] == 0.0
 
 
 def test_covariance_requires_isotropy():
@@ -152,7 +152,7 @@ def test_isotropy_check_rejects_nan_unitary():
 def test_covariance_keeps_nan():
     # Python's max drops a NaN that follows a number; the residual must not.
     broken = _bcc_with_nan_unitary()
-    assert np.isnan(check_covariance(broken).max_residual)
+    assert np.isnan(check_covariance(broken)["max_residual"])
     report = catalog.validate_descriptor(broken)
     assert np.isnan(report["max_residual"])
     assert report["passed"] is False
@@ -160,7 +160,7 @@ def test_covariance_keeps_nan():
 
 def test_covariance_invariant_under_global_conjugation():
     d = catalog.build_descriptor("bcc-a-plus")
-    base = check_covariance(d).max_residual
+    base = check_covariance(d)["max_residual"]
     rng = np.random.default_rng(9)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     v, _ = np.linalg.qr(m)
@@ -173,7 +173,7 @@ def test_covariance_invariant_under_global_conjugation():
         rule=TransitionRule(entries=entries, internal_dim=2),
         isotropy=IsotropyGroup(elements=elements),
     )
-    assert abs(check_covariance(conj).max_residual - base) < 1e-12
+    assert abs(check_covariance(conj)["max_residual"] - base) < 1e-12
 
 
 def test_extraction_constant_identity():

@@ -190,6 +190,22 @@ def test_tiling_reps_in_distinct_cosets():
     assert len(keys) == t.index
 
 
+@pytest.mark.parametrize("kind, basis", [
+    ("square_2d", ((2, 1), (0, 3))),
+    ("bcc_3d", ((1, 1, 0), (0, 2, 0), (0, 0, 3))),
+])
+def test_tiling_decomposes_every_point_exactly(kind, basis):
+    p = build_presentation(kind)
+    t = make_tiling(p, basis)
+    m = t.basis_matrix
+    for i, rep in enumerate(t.coset_reps):
+        assert t.coset_index(rep) == i
+    for x in itertools.product(range(-4, 5), repeat=p.dimension):
+        i, g = t.decompose(x)
+        assert g.dtype.kind == "i"
+        assert tuple(np.asarray(t.coset_reps[i]) + m @ g) == x
+
+
 def test_tiling_singular_basis_raises():
     p = build_presentation("square_2d")
     with pytest.raises(ValueError):

@@ -401,6 +401,14 @@ def _descriptor_with_nan_entry():
     return doc
 
 
+def _weyl2d_isotropy_with(edit):
+    def make_doc():
+        doc = serialize.descriptor_to_dict(catalog.build_descriptor("weyl-2d"))
+        edit(doc["isotropy"]["elements"][1])
+        return doc
+    return make_doc
+
+
 def _bcc_presentation_with(edit):
     def make_doc():
         doc = serialize.descriptor_to_dict(catalog.build_descriptor("bcc-a-plus"))
@@ -424,9 +432,13 @@ def _bcc_presentation_with(edit):
     (_bcc_presentation_with(lambda p: p["zone"]["bounds"][0].update(bound=float("inf"))),
      "bound"),
     (_descriptor_with_nan_entry, "h"),
+    (_weyl2d_isotropy_with(lambda e: e.update(permutation={"h1": "h1"})), "isotropy"),
+    (_weyl2d_isotropy_with(lambda e: e.update(unitary=[[[2.0, 0.0], [0.0, 0.0]],
+                                                       [[0.0, 0.0], [2.0, 0.0]]])),
+     "isotropy"),
 ], ids=["no-generators", "list", "no-matrices", "bad-rows", "nested-displacement",
         "string-normal", "nested-relator-entry", "nan-normal", "infinite-bound",
-        "nan-matrix-entry"])
+        "nan-matrix-entry", "isotropy-cut-permutation", "isotropy-nonunitary"])
 def test_malformed_descriptor_is_usage_error(capsys, tmp_path, make_doc, key):
     with pytest.raises(DescriptorError, match=repr(key)):
         serialize.descriptor_from_dict(make_doc())

@@ -192,6 +192,14 @@ def test_packet_boundary_error():
         evolution.measure_packet_velocity(state, state, 1)
 
 
+def test_packet_boundary_error_on_nan_resultant():
+    # A NaN resultant gives a NaN width, which the seam check must not pass.
+    lattice = evolution.LatticeSpec(presentation=build_presentation("line"), sizes=(32,))
+    moments = evolution.Moments(1.0, np.array([16.0]), np.array([np.nan]))
+    with pytest.raises(PacketBoundaryError):
+        evolution.packet_velocity(moments, moments, lattice, 1)
+
+
 def test_plane_wave_interpolation_consistency():
     # exp(-i H_I t) at integer t equals t automaton steps on a lattice mode.
     d = catalog.build_descriptor("bcc-a-plus")

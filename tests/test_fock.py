@@ -10,6 +10,11 @@ def test_anticommutation_exact():
     assert fock.anticommutator_residual(n_modes=6, max_excitations=2) == 0.0
 
 
+def test_anticommutation_residual_keeps_nan(monkeypatch):
+    monkeypatch.setattr(fock, "state_norm", lambda state: float("nan"))
+    assert np.isnan(fock.anticommutator_residual(n_modes=2, max_excitations=1))
+
+
 def test_anticommutation_against_dense_construction():
     # Independent dense realization: a_j = Z x ... x Z x A x I x ... with
     # A = [[0,1],[0,0]] in the occupation basis, bit j least significant.
