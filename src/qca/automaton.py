@@ -59,7 +59,7 @@ class IsotropyGroup:
 
     elements: tuple
 
-    def check_against(self, presentation):
+    def check_against(self, presentation, internal_dim):
         labels = set(presentation.signed_labels())
         plus = [g.label for g in presentation.generators_plus]
         perms = []
@@ -67,6 +67,8 @@ class IsotropyGroup:
             if set(perm.keys()) != labels or set(perm.values()) != labels:
                 raise ValueError("permutation must be a bijection of S")
             u = np.asarray(unitary)
+            if u.shape != (internal_dim, internal_dim):
+                raise ValueError(f"representation matrix has shape {u.shape}, not s x s")
             if not maxabs(u @ dagger(u) - np.eye(u.shape[0])) <= 1e-12:
                 raise ValueError("representation matrix is not unitary")
             perms.append(perm)

@@ -37,7 +37,7 @@ def _isotropy_group(presentation, plus_maps, unitaries):
             perm[inverse_label(src)] = inverse_label(dst)
         elements.append((perm, unitary))
     group = IsotropyGroup(elements=tuple(elements))
-    group.check_against(presentation)
+    group.check_against(presentation, internal_dim=2)  # spinor representations
     return group
 
 

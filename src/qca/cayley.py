@@ -341,6 +341,50 @@ class TilingMap:
         adj, det = self._adj_det
         return i, (adj @ delta) // det
 
+    @cached_property
+    def coarse_presentation(self):
+        """Presentation of the sublattice with the regrouped internal space.
+
+        Generators are the standard sublattice basis directions plus any other
+        coarse displacements the regrouped rule can reach; the zone is the
+        Wigner-Seitz cell of the coarse reciprocal lattice.
+        """
+        parent = self.parent
+        d = parent.dimension
+        basis = self.basis_matrix  # columns, parent free coords
+        embed = parent.basis_matrix @ basis  # columns, Cartesian
+
+        # The unit vectors (the free basis) and every reachable shift, each in the
+        # sign whose first nonzero entry is positive: max(g, -g) under tuple order.
+        units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        needed = set(units)
+        for rep in self.coset_reps:
+            for label in list(parent.signed_labels()) + [IDENTITY_LABEL]:
+                shift = np.subtract(rep, parent.coordinates[label])
+                _, g = self.decompose(shift)
+                if any(g):
+                    g = tuple(int(v) for v in g)
+                    needed.add(max(g, tuple(-v for v in g)))
+        positives = sorted(needed)
+
+        labels = [f"t{i + 1}" for i in range(len(positives))]
+        generator_objs = tuple(
+            Generator(label, tuple(float(v) for v in embed @ np.asarray(coords, dtype=float)),
+                      inverse_label(label))
+            for label, coords in zip(labels, positives)
+        )
+        zone = voronoi_zone(2.0 * np.pi * np.linalg.inv(embed.T), kind="voronoi")
+        pres = CayleyPresentation(
+            dimension=d,
+            generators_plus=generator_objs,
+            relators=(),
+            free_basis=tuple(labels[positives.index(unit)] for unit in units),
+            bz=zone,
+            kind="tiled",
+        )
+        pres.check_invariants()
+        return pres
+
 
 def make_tiling(presentation, subgroup_basis):
     """Enumerate the cosets of the sublattice spanned by subgroup_basis.

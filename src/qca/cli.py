@@ -85,16 +85,11 @@ def _cmd_dispersion(args):
         sample = dirac.dirac_dispersion(dd, k)
     else:
         sample = weyl.dispersion(variant, k)
-    rows = np.hstack([k, sample.omega, sample.group_velocity]).tolist()
+    rows = np.hstack([k, sample.omega, sample.group_velocity])
     if args.emit == "csv":
-        header = (
-            [f"k{j + 1}" for j in range(d)]
-            + ["omega_plus", "omega_minus"]
-            + [f"v{j + 1}" for j in range(d)]
-        )
-        template = ",".join(["%.17g"] * len(header))
-        lines = [",".join(header)] + [template % tuple(row) for row in rows]
-        _write("\n".join(lines) + "\n", args.output)
+        header = ([f"k{j + 1}" for j in range(d)] + ["omega_plus", "omega_minus"]
+                  + [f"v{j + 1}" for j in range(d)])
+        _write(serialize.csv_document(header, rows), args.output)
     else:
         _emit_report({"variant": args.variant, "dirac": bool(args.dirac),
                       "grid": args.grid, "rows": rows}, args)
@@ -164,9 +159,8 @@ def _cmd_evolve(args):
     if args.observables:
         d = descriptor.presentation.dimension
         header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]
-        template = ",".join(["%d"] + ["%.17g"] * (len(header) - 1))
-        lines = [",".join(header)] + [template % tuple(row) for row in rows]
-        _write("\n".join(lines) + "\n", args.observables)
+        # The step prints as a float: "%.17g" of an integer below 2**53 is its "%d".
+        _write(serialize.csv_document(header, rows), args.observables)
 
     summary = {
         "steps": args.steps,

@@ -18,13 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .automaton import AutomatonDescriptor, TransitionRule, assemble
-from .cayley import (
-    CayleyPresentation,
-    Generator,
-    IDENTITY_LABEL,
-    inverse_label,
-    voronoi_zone,
-)
+from .cayley import CayleyPresentation
 from .errors import PacketBoundaryError, ZoneLeakError
 from .pauli import dagger, maxabs
 
@@ -456,50 +450,6 @@ def measure_packet_velocity(before, after, steps):
     )
 
 
-def coarse_presentation(tiling):
-    """Presentation of the sublattice with the regrouped internal space.
-
-    Generators are the standard sublattice basis directions plus any other
-    coarse displacements the regrouped rule can reach; the zone is the
-    Wigner-Seitz cell of the coarse reciprocal lattice.
-    """
-    parent = tiling.parent
-    d = parent.dimension
-    basis = tiling.basis_matrix  # columns, parent free coords
-    embed = parent.basis_matrix @ basis  # columns, Cartesian
-
-    # The unit vectors (the free basis) and every reachable shift, each in the
-    # sign whose first nonzero entry is positive: max(g, -g) under tuple order.
-    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    needed = set(units)
-    for rep in tiling.coset_reps:
-        for label in list(parent.signed_labels()) + [IDENTITY_LABEL]:
-            shift = np.subtract(rep, parent.coordinates[label])
-            _, g = tiling.decompose(shift)
-            if any(g):
-                g = tuple(int(v) for v in g)
-                needed.add(max(g, tuple(-v for v in g)))
-    positives = sorted(needed)
-
-    labels = [f"t{i + 1}" for i in range(len(positives))]
-    generator_objs = tuple(
-        Generator(label, tuple(float(v) for v in embed @ np.asarray(coords, dtype=float)),
-                  inverse_label(label))
-        for label, coords in zip(labels, positives)
-    )
-    zone = voronoi_zone(2.0 * np.pi * np.linalg.inv(embed.T), kind="voronoi")
-    pres = CayleyPresentation(
-        dimension=d,
-        generators_plus=generator_objs,
-        relators=(),
-        free_basis=tuple(labels[positives.index(unit)] for unit in units),
-        bz=zone,
-        kind="tiled",
-    )
-    pres.check_invariants()
-    return pres
-
-
 def tile_descriptor(descriptor, tiling):
     """Regrouped automaton on the sublattice with internal dimension s * r.
 
@@ -510,7 +460,7 @@ def tile_descriptor(descriptor, tiling):
     pres = descriptor.presentation
     r = tiling.index
     s = descriptor.internal_dim
-    coarse_pres = coarse_presentation(tiling)
+    coarse_pres = tiling.coarse_presentation
     coords_to_label = {coords: label for label, coords in coarse_pres.coordinates.items()}
 
     blocks = {}
@@ -546,7 +496,7 @@ def apply_tiling(state, tiling):
     coarse_sizes, diag = _coarse_sizes(tiling, sizes)
     s = state.internal_dim
     r = tiling.index
-    coarse_pres = coarse_presentation(tiling)
+    coarse_pres = tiling.coarse_presentation
     coarse_lattice = LatticeSpec(presentation=coarse_pres, sizes=coarse_sizes)
     out = np.zeros(tuple(coarse_sizes) + (s * r,), dtype=complex)
     for i, rep in enumerate(tiling.coset_reps):

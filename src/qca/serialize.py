@@ -23,9 +23,24 @@ SNAPSHOT_VERSION = 1
 
 
 def _format_float(x):
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("non-finite value in a report")
+    if not math.isfinite(x):
+        raise FloatingPointError("non-finite value in a report")
     return format(float(x), ".17g")
+
+
+def format_table(template, table):
+    """template % the table's values in C order as "%.17g" prints them, formatting each
+    distinct bit pattern once (unlike a float unique, the int64 view keeps -0.0 apart)."""
+    flat = np.ascontiguousarray(table, dtype=float).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    return template % tuple(text[inverse].tolist())
+
+
+def csv_document(header, table):
+    """The header line, then one line per table row."""
+    line = ",".join(["%s"] * len(header))
+    return format_table("\n".join([",".join(header)] + [line] * len(table)) + "\n", table)
 
 
 # JSON string escapes: quote, backslash and every control character.
@@ -53,7 +68,12 @@ def dumps_stable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return f"[{_format_float(obj.real)},{_format_float(obj.imag)}]"
     if isinstance(obj, np.ndarray):
-        return dumps_stable(obj.tolist())
+        if obj.ndim != 2 or obj.dtype.kind != "f":
+            return dumps_stable(obj.tolist())
+        if not np.isfinite(obj).all():
+            raise FloatingPointError("non-finite value in a report")
+        row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
+        return format_table("[" + ",".join([row] * obj.shape[0]) + "]", obj)
     if isinstance(obj, dict):
         items = ",".join(
             f'{dumps_stable(str(key))}:{dumps_stable(value)}'
@@ -190,7 +210,7 @@ def descriptor_from_dict(doc):
             )
         )
         try:
-            isotropy.check_against(presentation)
+            isotropy.check_against(presentation, rule.internal_dim)
         except ValueError as exc:
             raise DescriptorError(f"descriptor key 'isotropy' is invalid: {exc}") from None
     return AutomatonDescriptor(

@@ -146,7 +146,7 @@ def _bcc_with_nan_unitary():
 def test_isotropy_check_rejects_nan_unitary():
     broken = _bcc_with_nan_unitary()
     with pytest.raises(ValueError, match="not unitary"):
-        broken.isotropy.check_against(broken.presentation)
+        broken.isotropy.check_against(broken.presentation, broken.internal_dim)
 
 
 def test_covariance_keeps_nan():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import qca
-from qca import catalog, dirac, evolution, serialize
-from qca.cayley import make_tiling
+from qca import catalog, dirac, evolution, serialize, weyl
+from qca.cayley import build_presentation, make_tiling
 from qca.cli import main
 from qca.errors import DescriptorError
 
@@ -124,6 +124,60 @@ def test_dispersion_deterministic_output(capsys):
     _, first, _ = _run(capsys, args)
     _, second, _ = _run(capsys, args)
     assert first == second
+
+
+def _dispersion_per_row(variant_name, dirac_mass, grid):
+    """The dispersion CSV and JSON as the per-row formatter printed them."""
+    variant = weyl.variant_by_name(variant_name)
+    d = variant.dimension
+    axis = np.arange(grid) * (2.0 * np.pi / grid) - np.pi
+    theta = np.stack(np.meshgrid(*(axis,) * d, indexing="ij"), axis=-1).reshape(-1, d)
+    k = build_presentation(variant.presentation_kind).k_of_theta(theta)
+    if dirac_mass is None:
+        sample = weyl.dispersion(variant, k)
+    else:
+        sample = dirac.dirac_dispersion(dirac.DiracDescriptor(weyl=variant, mass=dirac_mass), k)
+    rows = np.hstack([k, sample.omega, sample.group_velocity]).tolist()
+    header = ([f"k{j + 1}" for j in range(d)] + ["omega_plus", "omega_minus"]
+              + [f"v{j + 1}" for j in range(d)])
+    template = ",".join(["%.17g"] * len(header))
+    csv = "\n".join([",".join(header)] + [template % tuple(row) for row in rows]) + "\n"
+    report = serialize.report_document({"variant": variant_name, "dirac": dirac_mass is not None,
+                                        "grid": grid, "rows": rows})
+    return csv, report
+
+
+@pytest.mark.parametrize("variant, mass, grid", [
+    ("bcc-a-plus", None, 6), ("bcc-a-plus", 0.3, 6), ("weyl-1d", None, 5)])
+def test_dispersion_bytes_match_per_row_format(capsys, variant, mass, grid):
+    argv = ["dispersion", "--variant", variant, "--grid", str(grid)]
+    if mass is not None:
+        argv += ["--dirac", "--mass", str(mass)]
+    csv, report = _dispersion_per_row(variant, mass, grid)
+    assert _run(capsys, argv + ["--emit", "csv"])[:2] == (0, csv)
+    assert _run(capsys, argv + ["--emit", "json"])[:2] == (0, report)
+    assert ("-0," in csv) == (variant == "bcc-a-plus")  # a signed zero, printed as such
+
+
+def test_non_finite_dispersion_is_not_a_usage_error():
+    # A fresh interpreter, so that the exit code is the process's own.
+    script = (
+        "import dataclasses, sys\n"
+        "import numpy as np\n"
+        "from qca import cli, weyl\n"
+        "real = weyl.dispersion\n"
+        "weyl.dispersion = lambda variant, k: dataclasses.replace(\n"
+        "    real(variant, k), omega=np.full((len(k), 2), np.nan))\n"
+        "sys.exit(cli.main(['dispersion', '--variant', 'weyl-1d', '--grid', '4',"
+        " '--emit', 'json']))\n"
+    )
+    src = str(Path(qca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode not in (0, 2)
+    assert "FloatingPointError: non-finite value in a report" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("grid", ["0", "-2"])
@@ -409,6 +463,13 @@ def _weyl2d_isotropy_with(edit):
     return make_doc
 
 
+def _weyl2d_unitaries_3x3():
+    doc = serialize.descriptor_to_dict(catalog.build_descriptor("weyl-2d"))
+    for element in doc["isotropy"]["elements"]:
+        element["unitary"] = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    return doc
+
+
 def _bcc_presentation_with(edit):
     def make_doc():
         doc = serialize.descriptor_to_dict(catalog.build_descriptor("bcc-a-plus"))
@@ -436,9 +497,11 @@ def _bcc_presentation_with(edit):
     (_weyl2d_isotropy_with(lambda e: e.update(unitary=[[[2.0, 0.0], [0.0, 0.0]],
                                                        [[0.0, 0.0], [2.0, 0.0]]])),
      "isotropy"),
+    (_weyl2d_unitaries_3x3, "isotropy"),
 ], ids=["no-generators", "list", "no-matrices", "bad-rows", "nested-displacement",
         "string-normal", "nested-relator-entry", "nan-normal", "infinite-bound",
-        "nan-matrix-entry", "isotropy-cut-permutation", "isotropy-nonunitary"])
+        "nan-matrix-entry", "isotropy-cut-permutation", "isotropy-nonunitary",
+        "isotropy-wrong-size"])
 def test_malformed_descriptor_is_usage_error(capsys, tmp_path, make_doc, key):
     with pytest.raises(DescriptorError, match=repr(key)):
         serialize.descriptor_from_dict(make_doc())

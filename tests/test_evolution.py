@@ -251,6 +251,15 @@ def test_tiling_commuting_square(name, basis, sizes):
     assert maxabs(lhs.amplitudes - rhs.amplitudes) < 1e-12
 
 
+def test_tiling_builds_coarse_presentation_once():
+    d = catalog.build_descriptor("bcc-a-plus")
+    t = make_tiling(d.presentation, ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+    state = _rand_state(d, (4, 4, 4), seed=1)
+    coarse = evolution.tile_descriptor(d, t).presentation
+    assert evolution.apply_tiling(state, t).lattice.presentation is coarse
+    assert t.coarse_presentation is coarse
+
+
 def test_tiling_band_folding_1d():
     d = catalog.build_descriptor("weyl-1d")
     t = make_tiling(d.presentation, ((2,),))

@@ -1,0 +1,58 @@
+"""Table formatting: one format per distinct value, the same bytes as one per cell."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qca import serialize
+
+NAN_NEGATIVE = math.copysign(math.nan, -1.0)
+# Signed zeros and subnormals, both sides of the "%.17g" switch to exponent
+# notation, the largest double, NaN with either sign bit, and the infinities.
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0,
+    sys.float_info.max, -sys.float_info.max, math.nan, NAN_NEGATIVE, math.inf, -math.inf,
+)
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+FINITE = st.one_of(st.sampled_from([v for v in EDGE_VALUES if math.isfinite(v)]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _tables(values):
+    """(column count, rows) with every row that many values long."""
+    return st.integers(1, 6).flatmap(lambda cols: st.tuples(
+        st.just(cols), st.lists(st.lists(values, min_size=cols, max_size=cols), max_size=12)))
+
+
+@given(_tables(VALUES))
+def test_csv_document_matches_per_value_format(table):
+    cols, rows = table
+    header = [f"c{j}" for j in range(cols)]
+    expected = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
+    assert serialize.csv_document(header, rows) == "\n".join(expected) + "\n"
+
+
+@given(_tables(FINITE))
+def test_dumps_stable_table_matches_nested_lists(table):
+    cols, rows = table
+    array = np.array(rows, dtype=float).reshape(len(rows), cols)
+    assert serialize.dumps_stable(array) == serialize.dumps_stable(rows)
+
+
+def test_sign_bit_of_zero_survives_deduplication():
+    assert serialize.csv_document(["a", "b"], [[0.0, -0.0], [-0.0, 0.0]]) == "a,b\n0,-0\n-0,0\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, NAN_NEGATIVE, math.inf, -math.inf],
+                         ids=["nan", "-nan", "inf", "-inf"])
+def test_non_finite_report_value_is_not_a_usage_error(bad):
+    # cli.main maps ValueError to exit 2 (a usage error); a non-finite report
+    # value is a bug, so it must raise something else.
+    for value in (bad, np.array([[1.0, bad]])):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            serialize.report_document({"value": value})
+    assert not issubclass(FloatingPointError, ValueError)
