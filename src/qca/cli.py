@@ -62,6 +62,8 @@ def _cmd_graph(args):
 # ------------------------------------------------------------- validate
 
 def _cmd_validate(args):
+    if not np.isfinite(args.tolerance):
+        raise QcaError("--tolerance must be finite")
     descriptor = _load_descriptor(args)
     report = catalog.validate_descriptor(descriptor, tolerance=args.tolerance)
     _emit_report(report, args)
@@ -184,13 +186,16 @@ def _cmd_evolve(args):
 def _cmd_maxwell(args):
     if not (np.isfinite(args.dt) and args.dt > 0):
         raise QcaError("--dt must be positive and finite")
+    k = _parse_vector(args.k, 3)
+    for flag, values in (("--time", args.time), ("--k", k)):
+        if not np.all(np.isfinite(values)):
+            raise QcaError(f"{flag} must be finite")
     variant = weyl.variant_by_name(args.variant)
     rng = np.random.default_rng(args.seed)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     phi = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi /= np.linalg.norm(psi)
     phi /= np.linalg.norm(phi)
-    k = _parse_vector(args.k, 3)
     payload = maxwell.mode_maxwell_residual(
         psi, phi, k, args.dt, t_max=args.time, variant=variant
     )
@@ -208,6 +213,8 @@ def _cmd_maxwell(args):
 # ----------------------------------------------------------------- fock
 
 def _cmd_fock(args):
+    if args.fill < 0:
+        raise QcaError("--fill must be non-negative")
     oracle = fock.FockOracle(n_pair_modes=args.modes)
     if args.fill > args.modes:
         raise QcaError("--fill cannot exceed --modes")

@@ -149,17 +149,6 @@ def _apply(mats, hat):
     return np.einsum("...ab,...b->...a", mats, hat)
 
 
-def _closed_form_parts(mats):
-    """W = cI + (W - cI) over a stack: c = Re tr W / s, W - cI, sin(w) =
-    ||W - cI||_F / sqrt(s), and whether W + W^dagger = 2cI on every matrix."""
-    s = mats.shape[-1]
-    cos = np.trace(mats, axis1=1, axis2=2).real / s
-    shifted = mats - cos[:, None, None] * np.eye(s)
-    sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
-    # maxabs propagates NaN, and NaN fails the test: no closed form then.
-    return cos, shifted, sin, maxabs(shifted + dagger(shifted)) <= _CLOSED_FORM_TOL
-
-
 class SpectralPlan:
     """The per-mode step of one automaton on the held modes of one torus,
     built once per run.
@@ -169,17 +158,26 @@ class SpectralPlan:
     c = Re tr W / s and sin(w) = ||W - cI||_F / sqrt(s).  When W + W^dagger
     = 2cI on every held mode, as for every Weyl and Dirac rule, W^n has the
     closed form cos(nw) I + sin(nw)/sin(w) (W - cI) and costs the same for
-    any n.  Any other rule (tilings, user descriptors) takes batched matrix
-    powers, cached once per step count.
+    any n, and so have the branch projectors.  Any other rule (tilings, user
+    descriptors) takes batched matrix powers, cached once per step count,
+    and eig projectors.
     """
 
     def __init__(self, descriptor, sizes, index=None):
         if len(sizes) != descriptor.presentation.dimension:
             raise ValueError("one size per lattice dimension required")
-        self.descriptor = descriptor
         self.modes = Modes(sizes, index)
         self.mats = mode_matrices(descriptor, self.modes)
-        self.cos, _, self.sin, self.closed_form = _closed_form_parts(self.mats)
+        s = descriptor.internal_dim
+        trace = np.trace(self.mats, axis1=1, axis2=2)
+        self.cos = trace.real / s
+        shifted = self.mats - self.cos[:, None, None] * np.eye(s)
+        self.sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
+        # maxabs propagates NaN, and NaN fails the test: no closed form then.
+        self.closed_form = maxabs(shifted + dagger(shifted)) <= _CLOSED_FORM_TOL
+        # No branch is defined where one side of the spectrum c -+ i sin(w) is
+        # empty (|Im tr W| = s sin(w)) or W = +-I up to roundoff.
+        self._no_branch = (2.0 * self.sin < _BRANCH_GAP) | (np.abs(trace.imag) > (s - 1) * self.sin)
         # atan2 rather than arccos keeps full precision where sin(w) -> 0.
         self.omega = np.arctan2(self.sin, self.cos)
         self._powers = {}
@@ -197,6 +195,14 @@ class SpectralPlan:
                 self._powers[steps] = np.linalg.matrix_power(self.mats, steps)
         return self._powers[steps]
 
+    def _kernel(self, a, b, hat):
+        """a hat + b (W - cI) hat per held mode, with no stored W - cI."""
+        out = _apply(self.mats, hat)
+        out -= self.cos[:, None] * hat
+        out *= b[:, None]
+        out += a[:, None] * hat
+        return out
+
     def advance(self, hat, steps):
         """Amplitudes of the held modes after `steps` applications of the step."""
         if hat.shape != self.mats.shape[:-1]:
@@ -205,15 +211,17 @@ class SpectralPlan:
             raise ValueError("steps must be non-negative")
         if steps == 0:
             return hat.copy()
+        power = self._power(steps)
+        return self._kernel(*power, hat) if self.closed_form else _apply(power, hat)
+
+    def project(self, vec, branch):
+        """_branch_projectors(self.mats, branch) @ vec.  In closed form (eigenvalues
+        c -+ i sin(w)) P_plus/minus = I/2 +- i (W - cI) / (2 sin(w)), or I with no branch."""
         if not self.closed_form:
-            return _apply(self._power(steps), hat)
-        cos_n, ratio = self._power(steps)
-        # cos(nw) hat + sin(nw)/sin(w) (W - cI) hat, with no stored W - cI.
-        out = _apply(self.mats, hat)
-        out -= self.cos[:, None] * hat
-        out *= ratio[:, None]
-        out += cos_n[:, None] * hat
-        return out
+            return _branch_projectors(self.mats, branch) @ vec
+        b = np.divide(0.5j if branch == "plus" else -0.5j, self.sin,
+                      out=np.zeros(len(self.sin), dtype=complex), where=~self._no_branch)
+        return self._kernel(np.where(self._no_branch, 1.0, 0.5), b, vec)
 
 
 def to_modes(state):
@@ -264,36 +272,23 @@ class WavePacketSpec:
 
 
 def _branch_projectors(mats, branch):
-    """Spectral projectors onto the branch of stacked matrices.
+    """Spectral projectors V diag(want) V^-1 onto the branch of stacked
+    matrices, from one batched eig.
 
     "plus" keeps the eigenphases <= 0 and "minus" the positive ones.  A matrix
     keeps its whole space when no eigenvalue is on the wanted side, or when a
     wanted and an unwanted eigenvalue lie within _BRANCH_GAP: that is one
     degenerate eigenvalue split by roundoff (a band-touching mode, W = +-I),
     where no branch is defined.
-
-    A stack that passes SpectralPlan's closed-form test has eigenvalues
-    c -+ i sin(w) only, so P_plus/minus = (I +- i (W - cI) / sin(w)) / 2 and
-    one side is empty where |Im tr W| = s sin(w).  Others take V diag(want)
-    V^-1 from one batched eig.
     """
-    s = mats.shape[-1]
-    _, shifted, sin, closed_form = _closed_form_parts(mats)
-    if closed_form:
-        trace = np.abs(np.trace(shifted, axis1=1, axis2=2).imag)
-        whole = (2.0 * sin < _BRANCH_GAP) | (trace > (s - 1) * sin)
-        half = np.divide(0.5j if branch == "plus" else -0.5j, sin,
-                         out=np.zeros(len(sin), dtype=complex), where=~whole)
-        out = half[:, None, None] * shifted + 0.5 * np.eye(s)
-    else:
-        vals, vecs = np.linalg.eig(mats)
-        phases = np.angle(vals)
-        want = phases <= 0 if branch == "plus" else phases > 0
-        gaps = np.abs(vals[..., :, None] - vals[..., None, :])
-        split = want[..., :, None] & ~want[..., None, :] & (gaps < _BRANCH_GAP)
-        whole = np.all(want, axis=-1) | ~np.any(want, axis=-1) | np.any(split, axis=(-2, -1))
-        out = (vecs * want[..., None, :]) @ np.linalg.inv(vecs)
-    out[whole] = np.eye(s)
+    vals, vecs = np.linalg.eig(mats)
+    phases = np.angle(vals)
+    want = phases <= 0 if branch == "plus" else phases > 0
+    gaps = np.abs(vals[..., :, None] - vals[..., None, :])
+    split = want[..., :, None] & ~want[..., None, :] & (gaps < _BRANCH_GAP)
+    whole = np.all(want, axis=-1) | ~np.any(want, axis=-1) | np.any(split, axis=(-2, -1))
+    out = (vecs * want[..., None, :]) @ np.linalg.inv(vecs)
+    out[whole] = np.eye(mats.shape[-1])
     return out
 
 
@@ -339,20 +334,15 @@ def packet_modes(spec, descriptor, lattice):
         raise ValueError(f"sigma_k={spec.sigma_k} is narrower than the mode grid")
     plan = SpectralPlan(descriptor, sizes, index)
 
-    # One projector call: the reference operator A(theta0) heads the stack of
-    # the packet's modes.
-    reference = assemble(descriptor.rule, pres, theta0)
-    projectors = _branch_projectors(
-        np.concatenate([reference.reshape(1, s, s), plan.mats]), spec.branch
-    )
-    ref_proj = projectors[0]
+    reference = assemble(descriptor.rule, pres, theta0).reshape(1, s, s)
+    ref_proj = _branch_projectors(reference, spec.branch)[0]
     # The first column of (nearly) largest norm: symmetric rules tie exactly,
     # and roundoff must not pick the reference.
     norms = np.linalg.norm(ref_proj, axis=0)
     ref = ref_proj[:, int(np.argmax(norms >= (1.0 - 1e-9) * np.max(norms)))]
     ref = ref / np.linalg.norm(ref)
 
-    vecs = projectors[1:] @ ref
+    vecs = plan.project(ref, spec.branch)
     nv = np.linalg.norm(vecs, axis=-1)
     coords = np.unravel_index(index, sizes)
     x0 = np.asarray(spec.center_x, dtype=float)

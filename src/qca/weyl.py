@@ -43,6 +43,8 @@ class WeylVariant:
             raise ValueError("kind must be 'A' or 'B'")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        if not np.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if self.dimension != 2 and self.theta != 0.0:
             raise ValueError("theta is a two-dimensional parameter")
         if self.dimension == 1 and self.kind != "A":

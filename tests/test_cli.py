@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qca
-from qca import catalog, dirac, evolution, serialize, weyl
+from qca import catalog, dirac, evolution, fock, maxwell, serialize, weyl
 from qca.cayley import build_presentation, make_tiling
 from qca.cli import main
 from qca.errors import DescriptorError
@@ -381,6 +381,53 @@ def test_maxwell_rejects_bad_dt(capsys, dt):
     assert code == 2
     assert out == ""
     assert "--dt" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["maxwell", "--k", "0.1,0,0", "--time", "nan"], "--time"),
+    (["maxwell", "--k", "0.1,0,0", "--time", "inf"], "--time"),
+    (["maxwell", "--k", "0.1,0,0", "--time=-inf"], "--time"),
+    (["maxwell", "--k", "nan,0.2,-0.4"], "--k"),
+    (["maxwell", "--k", "0.1,inf,0"], "--k"),
+    (["validate", "--builtin", "bcc-a-plus", "--tolerance", "nan"], "--tolerance"),
+    (["validate", "--builtin", "bcc-a-plus", "--tolerance", "inf"], "--tolerance"),
+])
+def test_non_finite_inputs_are_rejected_before_any_work(capsys, monkeypatch, argv, flag):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(maxwell, "mode_maxwell_residual", work)
+    monkeypatch.setattr(catalog, "build_descriptor", work)
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--variant", "weyl-2d", "--theta", "nan", "--grid", "2"],
+    ["dispersion", "--variant", "weyl-2d-b", "--theta=-inf", "--grid", "2"],
+    ["validate", "--builtin", "weyl-2d", "--theta", "nan"],
+    ["evolve", "--builtin", "dirac-2d", "--mass", "0.3", "--theta", "inf", "--sizes", "8,8",
+     "--steps", "1", "--packet", "k0=0,0;sigma=0.2"],
+])
+def test_non_finite_theta_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "theta must be finite" in err
+
+
+@pytest.mark.parametrize("fill, message", [
+    ("-1", "--fill must be non-negative"),
+    ("3", "--fill cannot exceed --modes"),
+])
+def test_fock_rejects_bad_fill(capsys, monkeypatch, fill, message):
+    monkeypatch.setattr(fock, "fock_commutator_deviation", lambda *a: 1 / 0)
+    code, out, err = _run(capsys, ["fock", "--modes", "2", f"--fill={fill}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_flag_usage_error(capsys):

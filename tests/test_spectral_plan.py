@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qca import catalog, evolution
@@ -33,6 +33,14 @@ def _state(descriptor, sizes, seed=0):
     lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
     return evolution.random_state(
         lattice, descriptor.internal_dim, np.random.default_rng(seed)
+    )
+
+
+def _constant_rule(matrix):
+    """A rule whose step operator is `matrix` on every mode of the line."""
+    return AutomatonDescriptor(
+        presentation=_descriptor("weyl-1d").presentation,
+        rule=TransitionRule(entries={"e": matrix}, internal_dim=len(matrix)),
     )
 
 
@@ -111,16 +119,14 @@ def test_band_touching_mode():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_exact_limit_at_plus_minus_identity(sign):
-    descriptor = AutomatonDescriptor(
-        presentation=_descriptor("weyl-1d").presentation,
-        rule=TransitionRule(entries={"e": sign * np.eye(2, dtype=complex)},
-                            internal_dim=2),
-    )
-    plan = evolution.SpectralPlan(descriptor, (8,))
+    plan = evolution.SpectralPlan(_constant_rule(sign * np.eye(2, dtype=complex)), (8,))
     assert np.all(plan.sin == 0.0)
     hat = np.random.default_rng(3).normal(size=(8, 2)) + 0j
     for n in CHECKPOINTS:
         assert maxabs(plan.advance(hat, n) - sign ** n * hat) == 0.0
+    # No branch is defined: both projectors keep the whole space.
+    for branch in ("plus", "minus"):
+        assert np.array_equal(plan.project(hat[0], branch), np.broadcast_to(hat[0], hat.shape))
 
 
 def _conjugated(descriptor, unitary):
@@ -273,10 +279,13 @@ def test_band_touching_projector_is_whole_space():
     # W = I up to roundoff: the eigenphases straddle 0 by ~1e-16 and the
     # branch is undefined, so both branches keep the whole space.
     noise = 1e-16 * np.array([[1.0, 2.0 - 1.0j], [-2.0 - 1.0j, -1.0]])
-    mats = np.stack([np.eye(2) + 1j * noise, np.eye(2) - 1j * noise])
-    for branch in ("plus", "minus"):
-        proj = evolution._branch_projectors(mats, branch)
-        assert maxabs(proj - np.eye(2)) == 0.0
+    vec = np.array([0.6, -0.8j])
+    for mat in (np.eye(2) + 1j * noise, np.eye(2) - 1j * noise):
+        plan = evolution.SpectralPlan(_constant_rule(mat), (4,))
+        assert plan.closed_form
+        for branch in ("plus", "minus"):
+            assert np.array_equal(plan.project(vec, branch), np.broadcast_to(vec, (4, 2)))
+            assert maxabs(evolution._branch_projectors(mat[None], branch) - np.eye(2)) == 0.0
 
 
 def test_packet_modes_rejects_packet_narrower_than_the_mode_grid():
@@ -362,6 +371,19 @@ _PROJECTOR_RULES = [(name, None) for name in catalog.WEYL_NAMES] + [
 ]
 
 
+def _counting_eig(monkeypatch):
+    """Patch np.linalg.eig to record the shape of every stack it is given."""
+    eig, calls = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+    return calls
+
+
+def _projected_columns(plan, branch):
+    """The plan's branch projector of every held mode, one unit vector at a time."""
+    s = plan.mats.shape[-1]
+    return np.stack([plan.project(e, branch) for e in np.eye(s)], axis=-1)
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 @pytest.mark.parametrize("name,mass", _PROJECTOR_RULES)
 def test_closed_form_projectors_match_eig(name, mass, branch, monkeypatch):
@@ -372,14 +394,28 @@ def test_closed_form_projectors_match_eig(name, mass, branch, monkeypatch):
     plan = evolution.SpectralPlan(descriptor, sizes)
     touching = plan.sin < 1e-8
     assert plan.closed_form and (mass not in (None, 0.0) or touching.sum() >= 2)
-    eig, calls = np.linalg.eig, []
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
-    got = evolution._branch_projectors(plan.mats, branch)
+    calls = _counting_eig(monkeypatch)
+    got = _projected_columns(plan, branch)
+    vec = np.random.default_rng(7).normal(size=plan.mats.shape[-1]) + 0j
+    touching_vecs = plan.project(vec, branch)[touching]
     monkeypatch.undo()
     assert not calls
     assert maxabs(got - _eig_projectors(plan.mats, branch)) < 1e-12
     assert np.array_equal(got[touching], np.broadcast_to(np.eye(plan.mats.shape[-1]),
                                                          got[touching].shape))
+    assert np.array_equal(touching_vecs, np.broadcast_to(vec, touching_vecs.shape))
+
+
+@pytest.mark.parametrize("name,mass", _PROJECTOR_RULES)
+def test_packet_takes_one_eig_of_the_reference(name, mass, monkeypatch):
+    descriptor = _descriptor(name, mass)
+    d, s = descriptor.presentation.dimension, descriptor.internal_dim
+    sizes = {1: (64,), 2: (32, 32), 3: (16, 16, 16)}[d]
+    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    spec = evolution.WavePacketSpec((0.3,) + (-0.2,) * (d - 1), 0.2, (0,) * d, "minus")
+    calls = _counting_eig(monkeypatch)
+    evolution.packet_modes(spec, descriptor, lattice)
+    assert calls == [(1, s, s)]
 
 
 def test_scalar_modes_keep_their_whole_space():
@@ -391,21 +427,59 @@ def test_scalar_modes_keep_their_whole_space():
     )
     plan = evolution.SpectralPlan(descriptor, (8,))
     assert plan.closed_form
+    vec = np.array([0.3 - 0.4j, 1e-300])
     for branch in ("plus", "minus"):
-        got = evolution._branch_projectors(plan.mats, branch)
-        assert maxabs(got - _eig_projectors(plan.mats, branch)) == 0.0
+        assert maxabs(_projected_columns(plan, branch) - _eig_projectors(plan.mats, branch)) == 0.0
+        assert np.array_equal(plan.project(vec, branch), np.broadcast_to(vec, (8, 2)))
 
 
 def test_tiled_rule_projectors_take_eig(monkeypatch):
     descriptor = _descriptor("weyl-1d-x2")
     plan = evolution.SpectralPlan(descriptor, (8,))
     assert not plan.closed_form
-    eig, calls = np.linalg.eig, []
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
-    got = evolution._branch_projectors(plan.mats, "plus")
+    vec = np.random.default_rng(8).normal(size=plan.mats.shape[-1]) + 0j
+    calls = _counting_eig(monkeypatch)
+    got = plan.project(vec, "plus")
     assert calls == [plan.mats.shape]
     monkeypatch.undo()
-    assert np.array_equal(got, _eig_projectors(plan.mats, "plus"))
+    assert np.array_equal(got, _eig_projectors(plan.mats, "plus") @ vec)
+
+
+_TILINGS = [("weyl-1d", ((2,),)), ("weyl-1d", ((3,),)), ("weyl-1d", ((4,),)),
+            ("dirac-1d", ((2,),)), ("weyl-2d", ((2, 0), (0, 1)))]
+
+
+@pytest.mark.parametrize("name,basis", _TILINGS, ids=["weyl-1d-x2", "weyl-1d-x3", "weyl-1d-x4",
+                                                    "dirac-1d-x2", "weyl-2d-2x1"])
+# No shrinking: each example reruns the 10^4-step oracle, and shrinking a
+# failure would take minutes.
+@settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    # The Dirac mass; not 1, where a tiled dirac-1d (n = 0) still passes the
+    # closed-form test.
+    mass=st.sampled_from([0.0, 0.3, 0.6]),
+    coarse=st.integers(min_value=2, max_value=4),
+    branch=st.sampled_from(["plus", "minus"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_tiled_plans_match_direct_and_eig(name, basis, mass, coarse, branch, seed):
+    # A tiling mixes the internal and coset indices, so W + W^dagger is no
+    # longer a multiple of I: the plan takes the generic matrix-power and eig
+    # path, which must still agree with step_direct and the eig projectors.
+    base = catalog.build_descriptor(name, mass=mass if name.startswith("dirac") else None)
+    descriptor = evolution.tile_descriptor(base, make_tiling(base.presentation, basis))
+    sizes = (coarse,) * base.presentation.dimension
+    plan = evolution.SpectralPlan(descriptor, sizes)
+    assert not plan.closed_form
+    state = _state(descriptor, sizes, seed=seed)
+    hat = evolution.to_modes(state).reshape(-1, descriptor.internal_dim)
+    direct = _direct_checkpoints(state, descriptor)
+    for n in CHECKPOINTS:
+        err = maxabs(plan.modes.ifftn(plan.advance(hat, n)) - direct[n])
+        assert err <= TOL[n], f"{n} steps: {err:.2e}"
+    vec = np.random.default_rng(seed).normal(size=descriptor.internal_dim) + 0j
+    want = _eig_projectors(plan.mats, branch) @ vec
+    assert maxabs(plan.project(vec, branch) - want) < 1e-12
 
 
 def _dense_envelope(spec, pres, sizes):

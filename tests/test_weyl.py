@@ -269,3 +269,10 @@ def test_variant_registry():
         weyl.variant_by_name("weyl-4d")
     with pytest.raises(ValueError):
         weyl.variant_by_name("weyl-1d", theta=0.3)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_theta_is_rejected(theta):
+    for dimension in (2, 3):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            weyl.WeylVariant(dimension, theta=theta)
