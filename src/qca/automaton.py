@@ -100,22 +100,24 @@ class AutomatonDescriptor:
         return self.rule.internal_dim
 
 
-def assemble(rule, presentation, theta):
+def assemble(rule, presentation, theta, coords=None):
     """A(theta) = sum_h exp(-i theta.m_h) A_h at group-coordinate angles theta.
 
     theta is a length-d sequence of mutually broadcastable angle arrays
     (theta_j = k . h_j): scalars for one point, open-mesh axes for a product
-    grid, equal-length vectors for scattered points.  Each label's phase is a
-    product of per-axis factors and the sum over labels is one matrix
-    product; returns the broadcast shape followed by (s, s).
+    grid, equal-length vectors for scattered points; or, with `coords`, one
+    table of angles per axis, gathered at the integer coords[j].  Each
+    label's phase is a product of per-axis factors and the sum over labels
+    is one matrix product; returns the broadcast shape followed by (s, s).
     """
     if len(theta) != presentation.dimension:
         raise ValueError(f"expected {presentation.dimension} angle arrays, got {len(theta)}")
-    shape = np.broadcast_shapes(*(np.shape(t) for t in theta))
+    points = theta if coords is None else coords
+    shape = np.broadcast_shapes(*(np.shape(p) for p in points))
     # One point is a batch of one: numpy's scalar arithmetic rounds complex
     # products differently from its array loops, which the grid uses.
     theta = [np.atleast_1d(np.asarray(t, dtype=float)) for t in theta]
-    grid = np.broadcast_shapes(*(t.shape for t in theta))
+    grid = shape or (1,)
     s = rule.internal_dim
     labels = list(rule.entries)
     phases = np.empty((len(labels),) + grid, dtype=complex)
@@ -126,7 +128,8 @@ def assemble(rule, presentation, theta):
         for j, (m, t) in enumerate(zip(presentation.coordinates[label], theta)):
             if m:
                 if (j, m) not in axis_factors:
-                    axis_factors[j, m] = np.exp(-1j * m * t)
+                    table = np.exp(-1j * m * t)
+                    axis_factors[j, m] = table if coords is None else np.take(table, coords[j])
                 factor = factor * axis_factors[j, m]
         phases[i] = factor
     blocks = np.array([rule.entries[label] for label in labels])

@@ -6,10 +6,11 @@ FFT block-diagonalizes the step into one small unitary per lattice mode, and
 an empty mode stays empty.  A run holds only the modes its packet occupies
 (Modes: grid indices plus a flat stack of amplitudes), and its set-up and
 snapshot scale with that support: the envelope is evaluated on a per-axis
-box, the branch projectors and the held modes' powers (SpectralPlan) are in
-closed form for the Weyl and Dirac rules, and the snapshot, a run's only
-inverse FFT, transforms only the lines the held modes reach.  A dense state
-holds every mode.  A direct neighborhood-sum step is the independent oracle.
+box, the per-mode matrices gather per-axis phase tables, the branch
+projectors and powers (SpectralPlan) are in closed form for the Weyl and
+Dirac rules, and the snapshot, a run's only inverse FFT, transforms in place
+only the lines the held modes reach.  Moments are read off mode amplitudes.
+A dense state holds every mode.  A direct neighborhood-sum step is the oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -20,12 +21,13 @@ import numpy as np
 from .automaton import AutomatonDescriptor, TransitionRule, assemble
 from .cayley import CayleyPresentation
 from .errors import PacketBoundaryError, ZoneLeakError
-from .pauli import dagger, maxabs
+from .pauli import maxabs
 
 # A plan takes the closed-form power when ||W + W^dagger - 2cI|| stays below
 # this on every mode.
 _CLOSED_FORM_TOL = 1e-12
 _BRANCH_GAP = 1e-8
+_CHUNK = 4096  # modes per pass of SpectralPlan's decomposition
 
 
 @dataclass(frozen=True)
@@ -107,42 +109,47 @@ class Modes:
         self.index = np.arange(self.count) if index is None else np.asarray(index)
         self._neighbors = None
 
-    def angles(self):
-        """Group-coordinate angles of the held modes, as `assemble` takes them."""
-        coords = np.unravel_index(self.index, self.sizes)
-        return [a[c] for a, c in zip(_theta_axes(self.sizes), coords)]
-
     def neighbors(self):
         """Per axis j, the row of each held mode's neighbor k - e_j (mod n_j),
         or -1 where that neighbor is not held; built on first use."""
         if self._neighbors is None:
-            coords = np.unravel_index(self.index, self.sizes)
-            self._neighbors = []
-            for j, n in enumerate(self.sizes):
-                flat = np.ravel_multi_index(
-                    coords[:j] + ((coords[j] - 1) % n,) + coords[j + 1:], self.sizes
-                )
-                rows = np.searchsorted(self.index, flat) % len(self.index)
+            self._neighbors, stride = [], self.count
+            for n in self.sizes:
+                stride //= n
+                # The flat index of k - e_j: one stride back, or n - 1 forward at 0.
+                flat = self.index + np.where(self.index // stride % n, -stride, (n - 1) * stride)
+                # With every mode held, a mode's row is its flat index.
+                rows = (flat if len(flat) == self.count
+                        else np.searchsorted(self.index, flat) % len(flat))
                 self._neighbors.append(np.where(self.index[rows] == flat, rows, -1))
         return self._neighbors
 
     def ifftn(self, hat):
         """Lattice amplitudes: np.fft.ifftn, bit for bit, of the grid holding
         `hat` on these modes and zero elsewhere.  Like ifftn it transforms one
-        axis at a time from the last, but only the lines that reach a mode."""
+        axis at a time from the last, but only the lines that reach a mode: in
+        place unless on a view of `hat`, and full lines with no scatter."""
         keys, out = self.index, hat[:, None, :]
         for n in reversed(self.sizes):
-            lines, rows = np.unique(keys // n, return_inverse=True)
-            grid = np.zeros((len(lines), n) + out.shape[1:], dtype=complex)
-            grid[rows, keys % n] = out
-            keys, out = lines, np.fft.ifft(grid, axis=1).reshape(len(lines), -1, hat.shape[-1])
+            # The keys are sorted, so a new line starts wherever keys // n grows.
+            line = keys // n
+            new = np.diff(line, prepend=-1) > 0
+            shape = (int(np.count_nonzero(new)), n) + out.shape[1:]
+            if len(keys) == shape[0] * n:
+                grid = out.reshape(shape)
+            else:
+                grid = np.zeros(shape, dtype=complex)
+                grid.reshape((-1,) + out.shape[1:])[(np.cumsum(new) - 1) * n + keys % n] = out
+            grid = np.fft.ifft(grid, axis=1, out=None if np.may_share_memory(grid, hat) else grid)
+            keys, out = line[new], grid.reshape(shape[0], -1, hat.shape[-1])
         return out.reshape(self.sizes + hat.shape[-1:])
 
 
 def mode_matrices(descriptor, modes):
-    """Stacked per-mode step operators of the held modes, shape (len(modes.index), s, s)."""
-    s = descriptor.internal_dim
-    return assemble(descriptor.rule, descriptor.presentation, modes.angles()).reshape(-1, s, s)
+    """Stacked per-mode step operators of the held modes, shape (len(modes.index), s, s),
+    from per-axis phase tables gathered by the modes' coordinates."""
+    return assemble(descriptor.rule, descriptor.presentation, _theta_axes(modes.sizes),
+                    np.unravel_index(modes.index, modes.sizes))
 
 
 def _apply(mats, hat):
@@ -167,14 +174,34 @@ class SpectralPlan:
         if len(sizes) != descriptor.presentation.dimension:
             raise ValueError("one size per lattice dimension required")
         self.modes = Modes(sizes, index)
-        self.mats = mode_matrices(descriptor, self.modes)
-        s = descriptor.internal_dim
-        trace = np.trace(self.mats, axis1=1, axis2=2)
+        self._decompose(mode_matrices(descriptor, self.modes))
+
+    @classmethod
+    def of_stack(cls, mats):
+        """The decomposition of a given stack of s x s matrices, with no modes."""
+        plan = cls.__new__(cls)
+        plan._decompose(mats)
+        return plan
+
+    def _decompose(self, mats):
+        self.mats, s = mats, mats.shape[-1]
+        d = [mats[:, i, i] for i in range(s)]
+        # A diagonal sum from 0, in pairs at s = 4 as np.trace adds them there, so
+        # that Weyl and Dirac plans keep its bits; np.trace runs ~8x slower here.
+        trace = 0.0 + ((d[0] + d[1]) + (d[2] + d[3]) if s == 4 else sum(d))
         self.cos = trace.real / s
-        shifted = self.mats - self.cos[:, None, None] * np.eye(s)
-        self.sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
-        # maxabs propagates NaN, and NaN fails the test: no closed form then.
-        self.closed_form = maxabs(shifted + dagger(shifted)) <= _CLOSED_FORM_TOL
+        self.sin, defect = np.empty(len(mats)), []
+        for lo in range(0, len(mats), _CHUNK):
+            # W - cI on a chunk of modes.  The test reads the squared entries of
+            # W - cI + (W - cI)^dagger, where a NaN propagates and fails it.
+            x = mats[lo:lo + _CHUNK].copy()
+            x.reshape(len(x), -1)[:, ::s + 1] -= self.cos[lo:lo + _CHUNK, None]
+            re, im = x.real + x.real.swapaxes(1, 2), x.imag - x.imag.swapaxes(1, 2)
+            defect.append(np.max(re * re + im * im))
+            # ||W - cI||_F, with the squares formed as np.linalg.norm forms them.
+            np.multiply(x, x.conj(), out=x)
+            self.sin[lo:lo + _CHUNK] = np.sqrt(np.add.reduce(x.real, axis=(1, 2))) / np.sqrt(s)
+        self.closed_form = maxabs(defect) <= _CLOSED_FORM_TOL ** 2
         # No branch is defined where one side of the spectrum c -+ i sin(w) is
         # empty (|Im tr W| = s sin(w)) or W = +-I up to roundoff.
         self._no_branch = (2.0 * self.sin < _BRANCH_GAP) | (np.abs(trace.imag) > (s - 1) * self.sin)
@@ -334,12 +361,15 @@ def packet_modes(spec, descriptor, lattice):
         raise ValueError(f"sigma_k={spec.sigma_k} is narrower than the mode grid")
     plan = SpectralPlan(descriptor, sizes, index)
 
-    reference = assemble(descriptor.rule, pres, theta0).reshape(1, s, s)
-    ref_proj = _branch_projectors(reference, spec.branch)[0]
+    # Rows: the reference's branch projector times each unit vector, in closed
+    # form where A(theta0) passes the test (every Weyl and Dirac rule), else by eig.
+    reference = SpectralPlan.of_stack(assemble(descriptor.rule, pres, theta0).reshape(1, s, s))
+    cols = (reference.project(np.eye(s), spec.branch) if reference.closed_form
+            else _branch_projectors(reference.mats, spec.branch)[0].T)
     # The first column of (nearly) largest norm: symmetric rules tie exactly,
     # and roundoff must not pick the reference.
-    norms = np.linalg.norm(ref_proj, axis=0)
-    ref = ref_proj[:, int(np.argmax(norms >= (1.0 - 1e-9) * np.max(norms)))]
+    norms = np.linalg.norm(cols, axis=1)
+    ref = cols[int(np.argmax(norms >= (1.0 - 1e-9) * np.max(norms)))]
     ref = ref / np.linalg.norm(ref)
 
     vecs = plan.project(ref, spec.branch)
@@ -373,25 +403,6 @@ class Moments(NamedTuple):
     resultants: np.ndarray
 
 
-def _moments(z, total, sizes):
-    z = np.asarray(z) / total
-    means = (np.angle(z) % (2.0 * np.pi)) * np.asarray(sizes) / (2.0 * np.pi)
-    return Moments(float(np.sqrt(total)), means, np.abs(z))
-
-
-def _lattice_moments(state):
-    """Moments of |psi|^2 from the lattice amplitudes."""
-    d = state.lattice.presentation.dimension
-    sizes = state.lattice.sizes
-    weights = np.sum(np.abs(state.amplitudes) ** 2, axis=-1)
-    z = []
-    for j in range(d):
-        angles = 2.0 * np.pi * np.arange(sizes[j]) / sizes[j]
-        other = tuple(ax for ax in range(d) if ax != j)
-        z.append(np.sum(np.sum(weights, axis=other) * np.exp(1j * angles)))
-    return _moments(z, float(np.sum(weights)), sizes)
-
-
 def mode_moments(hat, modes):
     """Moments of |psi|^2 read off the amplitudes `hat` of `modes`, with no
     inverse FFT.
@@ -403,9 +414,11 @@ def mode_moments(hat, modes):
     # The appended zero row is every neighbor that is not held (row -1);
     # np.take gathers rows about twice as fast as fancy indexing.
     padded = np.concatenate([hat, np.zeros((1, hat.shape[-1]))])
-    z = [np.vdot(hat, np.take(padded, rows, axis=0)) / modes.count
-         for rows in modes.neighbors()]
-    return _moments(z, np.vdot(hat, hat).real / modes.count, modes.sizes)
+    total = np.vdot(hat, hat).real / modes.count
+    z = np.asarray([np.vdot(hat, np.take(padded, rows, axis=0)) / modes.count
+                    for rows in modes.neighbors()]) / total
+    means = (np.angle(z) % (2.0 * np.pi)) * np.asarray(modes.sizes) / (2.0 * np.pi)
+    return Moments(float(np.sqrt(total)), means, np.abs(z))
 
 
 def _seam_checked_means(moments, sizes):
@@ -435,9 +448,9 @@ def measure_packet_velocity(before, after, steps):
     """Cartesian displacement of the circular mean position per step."""
     if before.lattice != after.lattice:
         raise ValueError("states live on different lattices")
-    return packet_velocity(
-        _lattice_moments(before), _lattice_moments(after), before.lattice, steps
-    )
+    modes = Modes(before.lattice.sizes)
+    moments = [mode_moments(to_modes(s).reshape(modes.count, -1), modes) for s in (before, after)]
+    return packet_velocity(*moments, before.lattice, steps)
 
 
 def tile_descriptor(descriptor, tiling):

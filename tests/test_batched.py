@@ -10,6 +10,8 @@ from qca.automaton import assemble, spectrum
 from qca.cayley import build_presentation
 from qca.pauli import dagger
 
+from oracles import same_bits
+
 DIRAC_VARIANTS = tuple(catalog.dirac_variant_for(f"dirac-{d}d") for d in (1, 2, 3))
 WEYL_CASES = tuple(weyl.named_variants().values()) + (weyl.WeylVariant(2, theta=0.3),)
 # (variant, mass): mass None is the chiral walk itself.
@@ -42,11 +44,6 @@ def _sampler(variant, mass):
     return lambda k: dirac.dirac_dispersion(dd, k)
 
 
-def _same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("variant", WEYL_CASES, ids=lambda v: v.name)
 def test_batched_closed_form_rows_are_single_k(variant):
     ks = _zone_points(variant)
@@ -54,8 +51,8 @@ def test_batched_closed_form_rows_are_single_k(variant):
     mats = weyl.weyl_matrix(variant, ks)
     for i, k in enumerate(ks):
         for got, want in zip(batch, weyl.closed_form(variant, k)):
-            assert _same_bits(got[i], want), (variant.name, i)
-        assert _same_bits(mats[i], weyl.weyl_matrix(variant, k)), (variant.name, i)
+            assert same_bits(got[i], want), (variant.name, i)
+        assert same_bits(mats[i], weyl.weyl_matrix(variant, k)), (variant.name, i)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -72,7 +69,7 @@ def test_batched_dispersion_rows_are_single_k(case):
     for i, k in enumerate(ks):
         one = sample(k)
         for field in ("k", "omega", "group_velocity", "helicity"):
-            assert _same_bits(getattr(batch, field)[i], getattr(one, field)), (field, i)
+            assert same_bits(getattr(batch, field)[i], getattr(one, field)), (field, i)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -127,7 +124,7 @@ def test_residual_vector_from_precomputed_stack(adjoint_first):
         d = np.block([[p * first, q * x_block], [r * y_block, t * w]])
         res = dagger(d) @ d - np.eye(4)
         want += [res.real.ravel(), res.imag.ravel()]
-    assert _same_bits(got, np.concatenate(want))
+    assert same_bits(got, np.concatenate(want))
 
 
 @pytest.mark.parametrize("variant", DIRAC_VARIANTS, ids=lambda v: f"d={v.dimension}")
@@ -141,8 +138,8 @@ def test_dirac_matrix_rows_are_block_built(variant, mass):
     for i, k in enumerate(ks):
         w = weyl.weyl_matrix(variant, k)
         want = np.block([[dd.n * dagger(w), im], [im, dd.n * w]])
-        assert _same_bits(got[i], want), i
-        assert _same_bits(dirac.dirac_matrix(dd, k), want), i
+        assert same_bits(got[i], want), i
+        assert same_bits(dirac.dirac_matrix(dd, k), want), i
 
 
 @pytest.mark.parametrize("adjoint_first", [True, False])

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qca.cayley import (
     build_presentation,
@@ -86,6 +88,32 @@ def test_reduce_to_zone_idempotent_and_valid(kind):
         # the translate is a reciprocal-lattice vector
         coeff = np.linalg.solve(p.reciprocal_basis, k - reduced)
         assert np.max(np.abs(coeff - np.rint(coeff))) < 1e-9
+
+
+@given(st.sampled_from(["line", "square_2d", "bcc_3d"]), st.integers(0, 11),
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+def test_reduce_to_zone_keeps_face_points_on_the_half_open_side(kind, face, tangent):
+    # A point inside a face of the zone.  A face whose outward normal has a
+    # positive first nonzero component is in the zone and keeps the point;
+    # from any other face the point moves by a reciprocal-lattice vector to
+    # a point of the zone, which lies on no excluded face.
+    p = build_presentation(kind)
+    normal, c = p.bz.bounds[face % len(p.bz.bounds)]
+    n = np.asarray(normal, dtype=float)
+    t = np.asarray(tangent[:p.dimension])
+    t -= (t @ n) / (n @ n) * n
+    k = c * n / (n @ n) + 0.1 * c / np.linalg.norm(n) * t
+    reduced = reduce_to_zone(p, k)
+    if next(v for v in normal if v != 0) > 0:
+        assert np.array_equal(reduced, k)
+    else:
+        assert not p.bz.contains(k)
+        coeff = np.linalg.solve(p.reciprocal_basis, k - reduced)
+        assert np.max(np.abs(coeff - np.rint(coeff))) < 1e-9
+    for m, e in p.bz.bounds:
+        if next(v for v in m if v != 0) < 0:
+            assert reduced @ np.asarray(m) < e - 1e-9
+    assert np.array_equal(reduce_to_zone(p, reduced), reduced)
 
 
 def test_reduce_line_boundary_keeps_positive_face():

@@ -9,6 +9,8 @@ from qca.cayley import build_presentation, make_tiling
 from qca.errors import PacketBoundaryError, ZoneLeakError
 from qca.pauli import maxabs, principal_phase
 
+from oracles import lattice_moments
+
 
 def _rand_state(descriptor, sizes, seed=0):
     lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
@@ -118,7 +120,7 @@ def test_packet_normalized_and_localized():
     )
     state = evolution.make_packet(spec, d, lattice)
     assert abs(state.norm() - 1.0) < 1e-12
-    means = evolution._lattice_moments(state).means
+    means = lattice_moments(state).means
     assert abs(means[0] - 40.0) < 0.5
 
 

@@ -1,7 +1,10 @@
-"""Table formatting: one format per distinct value, the same bytes as one per cell."""
+"""Table formatting: one format per distinct value, the same bytes as one per
+cell; and state snapshots that round-trip bit for bit."""
 
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qca import serialize
+from qca.cayley import build_presentation
+from qca.evolution import FieldState, LatticeSpec
 
 NAN_NEGATIVE = math.copysign(math.nan, -1.0)
 # Signed zeros and subnormals, both sides of the "%.17g" switch to exponent
@@ -56,3 +61,38 @@ def test_non_finite_report_value_is_not_a_usage_error(bad):
         with pytest.raises(FloatingPointError, match="non-finite"):
             serialize.report_document({"value": value})
     assert not issubclass(FloatingPointError, ValueError)
+
+
+PRESENTATIONS = {1: "line", 2: "square_2d", 3: "bcc_3d"}
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.lists(st.integers(2, 4), min_size=d, max_size=d)),
+    st.sampled_from([2, 4]),
+    st.one_of(st.sampled_from([-2 ** 63, -1, 0, 2 ** 63 - 1]), st.integers(-2 ** 63, 2 ** 63 - 1)),
+    st.lists(VALUES, max_size=8),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_snapshot_round_trips_bit_for_bit(sizes, s, time, special, seed):
+    # Random parts over many magnitudes, about a third of them +-0.0, and the
+    # drawn edge values (NaN, infinities, subnormals) first.
+    sizes = tuple(sizes)
+    rng = np.random.default_rng(seed)
+    parts = rng.normal(size=2 * math.prod(sizes) * s) * 10.0 ** rng.integers(-300, 300, size=1)
+    parts[rng.random(parts.size) < 0.3] = rng.choice([0.0, -0.0])
+    parts[:len(special)] = special[:parts.size]
+    presentation = build_presentation(PRESENTATIONS[len(sizes)])
+    state = FieldState(LatticeSpec(presentation, sizes), s,
+                       parts.view(complex).reshape(sizes + (s,)), time)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.qcas")
+        serialize.save_snapshot(state, path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        back = serialize.load_snapshot(path, presentation)
+        serialize.save_snapshot(back, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == written
+    assert (back.lattice.sizes, back.internal_dim, back.time) == (sizes, s, time)
+    assert back.amplitudes.dtype == complex
+    assert back.amplitudes.tobytes() == state.amplitudes.tobytes()

@@ -16,6 +16,8 @@ from qca.cayley import make_tiling
 from qca.errors import ZoneLeakError
 from qca.pauli import maxabs
 
+from oracles import lattice_moments, same_bits
+
 CHECKPOINTS = (1, 65, 10_000)
 # The closed form and step_direct each round once per step at most; 10^4
 # repeated steps accumulate about 1e-12.
@@ -177,8 +179,8 @@ def test_mode_moments_match_real_space(name, mass, sizes, k0, sigma):
     for state in (packet, _state(descriptor, sizes, seed=4)):
         hat = evolution.to_modes(state).reshape(-1, state.internal_dim)
         moments = evolution.mode_moments(hat, evolution.Modes(sizes))
-        means = evolution._lattice_moments(state).means
-        real = evolution._lattice_moments(state)
+        means = lattice_moments(state).means
+        real = lattice_moments(state)
         wrapped = np.mod(moments.means - means + np.asarray(sizes) / 2, sizes)
         assert maxabs(wrapped - np.asarray(sizes) / 2) < 1e-12
         assert maxabs(moments.resultants - real.resultants) < 1e-12
@@ -194,7 +196,7 @@ def _assert_moments_match(moments, state):
     # a mean is ill-conditioned once the packet has spread round the torus
     # (R -> 0 after 10^4 steps on 6 sites).
     sizes = state.lattice.sizes
-    real = evolution._lattice_moments(state)
+    real = lattice_moments(state)
     assert maxabs(_first_moments(moments, sizes) - _first_moments(real, sizes)) < 1e-12
     assert abs(moments.norm - state.norm()) < 1e-12
 
@@ -343,13 +345,77 @@ def test_pruned_ifftn_is_bit_identical_to_ifftn(name, mass, sizes, k0, sigma):
 
 @pytest.mark.parametrize("sizes,s", [((6, 5, 4), 4), ((7, 8), 2), ((9,), 1)])
 def test_pruned_ifftn_full_grid_and_random_supports(sizes, s):
+    # Every mode: each pass's lines are full, and the first pass's grid is a
+    # view of hat, which must not be transformed in place.  Mixed: every mode
+    # whose next-to-last coordinate is 1; its first pass has full lines and
+    # its second does not (one mode per line).
     rng = np.random.default_rng(6)
     count = int(np.prod(sizes))
     subset = np.sort(rng.choice(count, size=count // 4, replace=False))
-    for index in (None, subset, np.array([count - 1])):
+    coords = np.unravel_index(np.arange(count), sizes)
+    mixed = np.flatnonzero(coords[-2] == 1) if len(sizes) > 1 else np.arange(count)
+    for index in (None, subset, np.array([count - 1]), mixed):
         modes = evolution.Modes(sizes, index)
         hat = rng.normal(size=(len(modes.index), s)) + 1j * rng.normal(size=(len(modes.index), s))
-        assert np.array_equal(modes.ifftn(hat), _scattered_ifftn(modes, hat))
+        hat[::5] = -0.0
+        before = hat.copy()
+        out = modes.ifftn(hat)
+        assert same_bits(hat, before)
+        assert same_bits(out, _scattered_ifftn(modes, hat))
+
+
+@pytest.mark.parametrize("name,mass,sizes", [
+    ("bcc-a-plus", None, (9, 8, 7)), ("dirac-3d", 0.5, (8, 7, 6)),
+    ("weyl-2d", None, (10, 9)), ("dirac-1d", 0.3, (17,)),
+])
+def test_gathered_phase_tables_match_scattered_angles(name, mass, sizes):
+    descriptor = _descriptor(name, mass)
+    s, count = descriptor.internal_dim, int(np.prod(sizes))
+    subset = np.sort(np.random.default_rng(10).choice(count, size=count // 3, replace=False))
+    for index in (None, subset):
+        modes = evolution.Modes(sizes, index)
+        angles = [2.0 * np.pi * np.fft.fftfreq(n)[c]
+                  for n, c in zip(sizes, np.unravel_index(modes.index, sizes))]
+        want = evolution.assemble(descriptor.rule, descriptor.presentation, angles)
+        assert same_bits(evolution.mode_matrices(descriptor, modes), want.reshape(-1, s, s))
+
+
+def _random_stack(rng, count, s):
+    """Random s x s matrices over many magnitudes, a third of the parts -0.0."""
+    parts = rng.normal(size=(2, count, s, s)) * 10.0 ** rng.integers(-17, 3, size=(2, count, s, s))
+    parts[rng.random(parts.shape) < 0.3] = -0.0
+    return parts[0] + 1j * parts[1]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+def test_plan_decomposition_matches_trace_and_norm(s):
+    # c and sin(w) as np.trace and np.linalg.norm give them, over more modes
+    # than one pass of the decomposition holds, and the same closed-form
+    # verdict as the full-stack test.  Up to s = 4, which holds every Weyl and
+    # Dirac rule, bit for bit; beyond, the diagonal sum runs in turn and
+    # agrees to its roundoff.
+    rng = np.random.default_rng(11 + s)
+    stacks = [_random_stack(rng, 5000, s)]
+    if s in (2, 4):
+        stacks.append(evolution.SpectralPlan(_descriptor("bcc-a-plus" if s == 2 else "dirac-3d",
+                                                         None if s == 2 else 0.3), (18, 17, 16)).mats)
+    eps = np.finfo(float).eps
+    for mats in stacks:
+        plan = evolution.SpectralPlan.of_stack(mats)
+        cos = np.trace(mats, axis1=1, axis2=2).real / s
+        shifted = mats - cos[:, None, None] * np.eye(s)
+        sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
+        if s <= 4:
+            assert same_bits(plan.cos, cos)
+            assert same_bits(plan.sin, sin)
+        else:
+            # s terms round at most s times; a shift dc of c moves sin(w) by |dc|.
+            dc = s * eps * np.sum(np.abs(np.diagonal(mats, axis1=1, axis2=2).real), axis=1) / s
+            assert np.all(np.abs(plan.cos - cos) <= dc)
+            assert np.all(np.abs(plan.sin - sin) <= dc + 4 * s * eps * sin)
+        defect = maxabs(shifted + np.conj(np.swapaxes(shifted, 1, 2)))
+        assert plan.closed_form == (defect <= evolution._CLOSED_FORM_TOL)
+    assert len(stacks[0]) > evolution._CHUNK
 
 
 def _eig_projectors(mats, branch):
@@ -406,16 +472,23 @@ def test_closed_form_projectors_match_eig(name, mass, branch, monkeypatch):
     assert np.array_equal(touching_vecs, np.broadcast_to(vec, touching_vecs.shape))
 
 
-@pytest.mark.parametrize("name,mass", _PROJECTOR_RULES)
+@pytest.mark.parametrize("name,mass", _PROJECTOR_RULES + [("weyl-1d-x2", None)])
 def test_packet_takes_one_eig_of_the_reference(name, mass, monkeypatch):
+    # A catalog rule's reference A(theta0) passes the closed-form test, so
+    # its packet takes no eig; a tiled rule takes one for the reference and
+    # one for the held modes.
     descriptor = _descriptor(name, mass)
     d, s = descriptor.presentation.dimension, descriptor.internal_dim
     sizes = {1: (64,), 2: (32, 32), 3: (16, 16, 16)}[d]
     lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
-    spec = evolution.WavePacketSpec((0.3,) + (-0.2,) * (d - 1), 0.2, (0,) * d, "minus")
+    tiled = name.endswith("-x2")
+    # The tiled line's zone is half as wide.
+    sigma = 0.1 if tiled else 0.2
+    spec = evolution.WavePacketSpec((0.3,) + (-0.2,) * (d - 1), sigma, (0,) * d, "minus")
     calls = _counting_eig(monkeypatch)
-    evolution.packet_modes(spec, descriptor, lattice)
-    assert calls == [(1, s, s)]
+    plan, _ = evolution.packet_modes(spec, descriptor, lattice)
+    assert plan.closed_form != tiled
+    assert calls == ([(1, s, s), (len(plan.modes.index), s, s)] if tiled else [])
 
 
 def test_scalar_modes_keep_their_whole_space():
@@ -501,7 +574,9 @@ def _dense_packet(spec, descriptor, sizes):
     envelope, leak = _dense_envelope(spec, pres, sizes)
     assert leak <= 1e-12
     index = np.flatnonzero(envelope > 1e-14)
-    mats = evolution.SpectralPlan(descriptor, sizes, index).mats
+    angles = [2.0 * np.pi * np.fft.fftfreq(n)[c]
+              for n, c in zip(sizes, np.unravel_index(index, sizes))]
+    mats = evolution.assemble(descriptor.rule, pres, angles).reshape(-1, s, s)
     theta0 = pres.theta_of(np.asarray(spec.center_k, dtype=float))
     ref_proj = _eig_projectors(evolution.assemble(descriptor.rule, pres, theta0)
                                .reshape(1, s, s), spec.branch)[0]
@@ -509,7 +584,6 @@ def _dense_packet(spec, descriptor, sizes):
     ref = ref_proj[:, int(np.argmax(norms >= (1.0 - 1e-9) * np.max(norms)))]
     vecs = _eig_projectors(mats, spec.branch) @ (ref / np.linalg.norm(ref))
     nv = np.linalg.norm(vecs, axis=-1)
-    angles = evolution.Modes(sizes, index).angles()
     phase = np.exp(-1j * sum(a * x for a, x in zip(angles, spec.center_x)))
     weight = np.where(nv >= 1e-12, envelope[index] * phase / np.maximum(nv, 1e-300), 0.0)
     amps = weight[:, None] * vecs
