@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weyl
-from .errors import BranchPointError
+from .errors import BranchPointError, QcaError
 from .pauli import (
     ID2,
     PAULI,
@@ -79,10 +79,6 @@ def gamma_form(dd, k):
     return dd.n * u * np.eye(4, dtype=complex) + _gamma_sum(1j * dd.mass, -1j * dd.n * nt)
 
 
-def _omega(dd, u):
-    return weyl._omega(dd.n * u)
-
-
 def dirac_dispersion(dd, k):
     """Doubly degenerate eigenphase branches +-arccos(n u(k)) at wave-vectors
     k of shape (..., d).
@@ -93,7 +89,7 @@ def dirac_dispersion(dd, k):
     """
     k = np.asarray(k, dtype=float)
     u, nt, gu, _ = weyl.closed_form(dd.weyl, k)
-    w = _omega(dd, u)
+    w = weyl._omega(dd.n * u)
     return weyl.DispersionSample(
         k=k,
         omega=np.stack([w, -w], axis=-1),
@@ -105,7 +101,7 @@ def dirac_dispersion(dd, k):
 def dirac_interpolating_hamiltonian(dd, k):
     """Hermitian H with exp(-i H) = D(k); eigenvalues +-omega, each twice."""
     u, nt, _, _ = weyl.closed_form(dd.weyl, k)
-    w = _omega(dd, u)
+    w = weyl._omega(dd.n * u)
     if abs(w - np.pi) < 1e-6:
         raise BranchPointError(f"eigenphase {w} at the logarithm branch point")
     f = omega_over_sin(w)
@@ -124,7 +120,7 @@ def dirac_small_k_hamiltonian(dd, k):
     d = dd.dimension
     zero = np.zeros(d)
     u0, nt0, gu0, jac0 = weyl.closed_form(dd.weyl, zero)
-    w0 = _omega(dd, u0)
+    w0 = weyl._omega(dd.n * u0)
     f0 = omega_over_sin(w0)
     sin_w0 = np.sin(w0)
     out = _gamma_sum(-f0 * dd.mass, f0 * dd.n * (nt0 + jac0 @ k))
@@ -155,40 +151,38 @@ def _unitarity_defect(d):
 
 
 def coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, k_samples,
-                                adjoint_first=True):
+                                adjoint_first=True, ws=None):
     """Worst unitarity defect of the constant-block coupling ansatz.
 
     The candidate step operator is [[p W', q X], [r Y, t W]] with W' either
-    W(k)^+ (the arrangement that contains the mass family) or W(k).
+    W(k)^+ (the arrangement that contains the mass family) or W(k); ws, if given, is W at k_samples.
     """
-    ks = np.atleast_2d(np.asarray(k_samples, dtype=float))
-    ws = weyl.weyl_matrix(variant, ks)
+    if ws is None:
+        ws = weyl.weyl_matrix(variant, np.atleast_2d(np.asarray(k_samples, dtype=float)))
     return maxabs(_unitarity_defect(_coupled((p, q, r, t, x_block, y_block), ws, adjoint_first)))
 
 
 def _pack(params):
-    p, q, r, t = params[0:4]
-    x_block = params[4:8].reshape(2, 2)
-    y_block = params[8:12].reshape(2, 2)
-    return p, q, r, t, x_block, y_block
+    return (*params[:4], params[4:8].reshape(2, 2), params[8:12].reshape(2, 2))
 
 
 def _residual_and_jacobian(params_real, ws, adjoint_first):
     """D^+ D - I at the stacked step operators ws (16 real then 16 imaginary
-    parts per operator) and its Jacobian in the interleaved real and
-    imaginary parts of the 12 complex parameters.  The ansatz is bilinear:
-    C_i = dD/dz_i is W' or W for p and t, X for q, q E_ab for X_ab, and so
-    for r and Y; D^+ D changes by C_i^+ D + D^+ C_i along Re z_i and by
-    i (D^+ C_i - C_i^+ D) along Im z_i."""
+    parts per operator) and its Jacobian in the interleaved real and imaginary
+    parts of the 12 complex parameters: with C_i = dD/dz_i, D^+ D changes by
+    C_i^+ D + h.c. along Re z_i and -i C_i^+ D + h.c. along Im z_i.  For
+    D = [[P, Q], [R, T]] each C_i^+ D is one block row: rows 0-1 hold W'^+ [P Q]
+    for p and Y^+ [R T] for r; rows 2-3 X^+ [P Q] for q and W^+ [R T] for t; row
+    2+b holds conj(q) D's row a for X_ab, and row b conj(r) D's row 2+a for Y_ab."""
     _, q, r, _, x_block, y_block = params = _pack(params_real[0::2] + 1j * params_real[1::2])
     d = _coupled(params, ws, adjoint_first)
-    c = np.zeros((12,) + d.shape, dtype=complex)
-    # With X and Y fixed the ansatz is linear in (p, q, r, t).
-    c[:4] = [_coupled((*unit, x_block, y_block), ws, adjoint_first) for unit in np.eye(4)]
+    top, bottom, rows, w_h = d[:, :2], d[:, 2:], d.transpose(1, 0, 2), dagger(ws)
+    cd = np.zeros((12,) + d.shape, dtype=complex)
+    cd[0, :, :2], cd[1, :, 2:] = (ws if adjoint_first else w_h) @ top, dagger(x_block) @ top
+    cd[2, :, :2], cd[3, :, 2:] = dagger(y_block) @ bottom, w_h @ bottom
     ab = np.arange(4)
-    c[4 + ab, :, ab // 2, 2 + ab % 2] = q
-    c[8 + ab, :, 2 + ab // 2, ab % 2] = r
-    cd = np.einsum("ikba,kbc->ikac", c.conj(), d)
+    cd[4 + ab, :, 2 + ab % 2] = np.conj(q) * rows[ab // 2]
+    cd[8 + ab, :, ab % 2] = np.conj(r) * rows[2 + ab // 2]
     jac = np.stack([cd + dagger(cd), 1j * (dagger(cd) - cd)], axis=1).reshape(24, -1, 16)
     res = _unitarity_defect(d).reshape(-1, 16)
     return (np.concatenate([res.real, res.imag], axis=-1).ravel(),
@@ -232,7 +226,23 @@ def _wrap_phase(x):
     return (x + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _dressed_family_fit(variant, candidate_params, ks, adjoint_first, tol=1e-5):
+def _median(x):
+    """np.median of finite x, bit for bit (np.mean sums the middle one or two from
+    +0.0), without the numpy.ma import of np.median's first call."""
+    x, h = np.sort(x), len(x) // 2
+    return 0.0 + x[h] if len(x) % 2 else (0.0 + x[h - 1] + x[h]) / 2.0
+
+
+def _verification_set(variant, ks):
+    """W, omega = arccos u and the mask of the ks off the band edges, which alone fix nu, delta."""
+    omegas = weyl._omega(weyl.closed_form(variant, ks)[0])
+    usable = ~((np.sin(omegas) < 0.2) | (np.cos(omegas) < 0.2))
+    if np.count_nonzero(usable) < 3:
+        raise QcaError("--k-samples: fewer than 3 verification wave-vectors avoid the band edges")
+    return weyl.weyl_matrix(variant, ks), omegas, usable
+
+
+def _dressed_family_fit(ws, omegas, usable, candidate_params, adjoint_first, tol=1e-5):
     """Fit the candidate's spectra to the phase-dressed mass family.
 
     Unitary members of the constant-block ansatz factor, modulo constant
@@ -241,17 +251,12 @@ def _dressed_family_fit(variant, candidate_params, ks, adjoint_first, tol=1e-5):
 
         gamma +- arccos(nu cos(omega(k) +- delta)),   nu = sqrt(1 - m^2),
 
-    with omega(k) = arccos u(k).  Returns (gamma, delta, nu, worst error)
-    or None when no such triple reproduces the spectra.
+    with omega(k) = arccos u(k), at a _verification_set.  Returns (gamma,
+    delta, nu, worst error) or None when no such triple reproduces the spectra.
     """
-    mats = _coupled(_pack(candidate_params), weyl.weyl_matrix(variant, ks), adjoint_first)
+    mats = _coupled(_pack(candidate_params), ws, adjoint_first)
     spectra = np.sort(principal_phase(np.linalg.eigvals(mats)), axis=-1)
-    omegas = weyl._omega(weyl.closed_form(variant, ks)[0])
-    # Only wave-vectors away from the band edges estimate (nu, delta).
-    usable = ~((np.sin(omegas) < 0.2) | (np.cos(omegas) < 0.2))
     cos_w, sin_w = np.cos(omegas[usable]), np.sin(omegas[usable])
-    if cos_w.size < 3:
-        return None
 
     # Estimate gamma from the trace, resolving its pi ambiguity by fit.
     best = None
@@ -263,8 +268,8 @@ def _dressed_family_fit(variant, candidate_params, ks, adjoint_first, tol=1e-5):
         if np.any(np.abs(dev[..., :2] + dev[..., 3:1:-1]) > 1e-3):
             continue
         cos_a, cos_b = np.cos(dev[..., 3][usable]), np.cos(dev[..., 2][usable])
-        x1 = float(np.median((cos_a + cos_b) / (2.0 * cos_w)))
-        x2 = float(np.median(-(cos_a - cos_b) / (2.0 * sin_w)))
+        x1 = float(_median((cos_a + cos_b) / (2.0 * cos_w)))
+        x2 = float(_median(-(cos_a - cos_b) / (2.0 * sin_w)))
         nu = float(np.hypot(x1, x2))
         delta = float(np.arctan2(x2, x1))
         if nu > 1.0 + 1e-6:
@@ -294,8 +299,8 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_
     d = variant.dimension
     ks_opt = rng.uniform(-1.5, 1.5, size=(_N_K_OPTIMIZE, d))
     ks_ver = rng.uniform(-1.5, 1.5, size=(n_k_verify, d))
-    # W at the optimization wave-vectors is the same in every trial.
-    ws_opt = weyl.weyl_matrix(variant, ks_opt)
+    # What depends on the wave-vectors alone is built once, before any trial.
+    ws_opt, ver = weyl.weyl_matrix(variant, ks_opt), _verification_set(variant, ks_ver)
     report = dict.fromkeys(("optimizer_failures", "converged_unitary", "decoupled_endpoint",
                             "flip_endpoint", "dressed_family", "exact_family", "off_family_hits"), 0)
     report.update(trials=n_seeds, best_nonfamily_residual=float("inf"), family_masses=[])
@@ -310,7 +315,7 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_
         z = fit[0::2] + 1j * fit[1::2]
         p, q, r, t, x_block, y_block = _pack(z)
         residual = coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, ks_ver,
-                                               adjoint_first=adjoint_first)
+                                               adjoint_first=adjoint_first, ws=ver[0])
         if not np.isfinite(residual):
             report["optimizer_failures"] += 1
             continue
@@ -326,7 +331,7 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_
         if diagonal < 1e-8:
             report["flip_endpoint"] += 1
             continue
-        fit_result = _dressed_family_fit(variant, z, ks_ver, adjoint_first)
+        fit_result = _dressed_family_fit(*ver, z, adjoint_first)
         if fit_result is None:
             report["off_family_hits"] += 1
             report["best_nonfamily_residual"] = min(report["best_nonfamily_residual"], residual)

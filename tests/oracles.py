@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from qca import evolution
+from qca import dirac, evolution
+from qca.pauli import dagger
 
 
 def same_bits(got, want):
@@ -25,3 +26,22 @@ def lattice_moments(state):
         z.append(np.sum(np.sum(weights, axis=other) * np.exp(1j * angles)) / total)
     means = (np.angle(z) % (2.0 * np.pi)) * np.asarray(sizes) / (2.0 * np.pi)
     return evolution.Moments(float(np.sqrt(total)), means, np.abs(z))
+
+
+def residual_and_jacobian_einsum(params_real, ws, adjoint_first):
+    """The coupling probe's residual and Jacobian with every C_i = dD/dz_i held
+    as a full 4x4 stack and C_i^+ D taken by one einsum: the reference for
+    dirac._residual_and_jacobian, which builds C_i^+ D from 2x2 blocks."""
+    _, q, r, _, x_block, y_block = params = dirac._pack(params_real[0::2] + 1j * params_real[1::2])
+    d = dirac._coupled(params, ws, adjoint_first)
+    c = np.zeros((12,) + d.shape, dtype=complex)
+    # With X and Y fixed the ansatz is linear in (p, q, r, t).
+    c[:4] = [dirac._coupled((*unit, x_block, y_block), ws, adjoint_first) for unit in np.eye(4)]
+    ab = np.arange(4)
+    c[4 + ab, :, ab // 2, 2 + ab % 2] = q
+    c[8 + ab, :, 2 + ab // 2, ab % 2] = r
+    cd = np.einsum("ikba,kbc->ikac", c.conj(), d)
+    jac = np.stack([cd + dagger(cd), 1j * (dagger(cd) - cd)], axis=1).reshape(24, -1, 16)
+    res = (dagger(d) @ d - np.eye(4)).reshape(-1, 16)
+    return (np.concatenate([res.real, res.imag], axis=-1).ravel(),
+            np.concatenate([jac.real, jac.imag], axis=-1).reshape(24, -1).T)

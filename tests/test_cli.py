@@ -375,6 +375,34 @@ def test_dirac_search_rejects_bad_arguments_before_any_work(capsys, monkeypatch,
     assert message in err
 
 
+def test_dirac_search_rejects_k_samples_the_family_fit_cannot_use(capsys):
+    # Two verification wave-vectors converge every trial, but the family fit
+    # needs three away from the band edges; no trial may read as off-family.
+    code, out, err = _run(capsys, ["dirac-search", "--samples", "8", "--seed", "7",
+                                   "--k-samples", "2"])
+    assert code == 2
+    assert out == ""
+    assert "--k-samples" in err
+
+
+def test_probe_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    # A fresh interpreter: np.median's first call imports numpy.ma, which the
+    # probe's classifier avoids, and this test session has loaded both already.
+    script = (
+        "import sys\n"
+        "from qca.cli import main\n"
+        f"assert main(['dirac-search', '--samples', '8', '--seed', '7', '--output', "
+        f"{str(tmp_path / 'probe.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
+    )
+    src = str(Path(qca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "probe.json").read_text())["dressed_family"] == 2
+
+
 @pytest.mark.parametrize("dt", ["0", "-1e-3", "nan", "inf"])
 def test_maxwell_rejects_bad_dt(capsys, dt):
     code, out, err = _run(capsys, ["maxwell", "--k", "0.1,0,0", f"--dt={dt}"])

@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import residual_and_jacobian_einsum
 
 from qca import dirac, weyl
-from qca.errors import BranchPointError
+from qca.errors import BranchPointError, QcaError
 from qca.pauli import PAULI, dagger, maxabs, principal_phase
 
 V3 = weyl.WeylVariant(3)
@@ -254,7 +257,7 @@ def _family_member(gamma, delta, m, block):
 def test_dressed_family_fit_recovers_constructed_members(variant, adjoint_first, block, m):
     ks = np.random.default_rng(21).uniform(-1.5, 1.5, size=(50, variant.dimension))
     z = _family_member(0.7, 0.25, m, block)
-    fit = dirac._dressed_family_fit(variant, z, ks, adjoint_first)
+    fit = dirac._dressed_family_fit(*dirac._verification_set(variant, ks), z, adjoint_first)
     assert fit is not None
     _, _, nu, worst = fit
     assert abs(nu - np.sqrt(1.0 - m * m)) <= 1e-9
@@ -264,7 +267,32 @@ def test_dressed_family_fit_recovers_constructed_members(variant, adjoint_first,
 def test_dressed_family_fit_rejects_non_unitary_witness():
     ks = np.random.default_rng(22).uniform(-1.5, 1.5, size=(50, 3))
     z = np.concatenate([[1.0, 0.4, 0.4, 0.4], np.eye(2).ravel(), np.eye(2).ravel()])
-    assert dirac._dressed_family_fit(V3, z.astype(complex), ks, True) is None
+    assert dirac._dressed_family_fit(*dirac._verification_set(V3, ks), z.astype(complex),
+                                     True) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verification_set_needs_three_band_edge_free_points(n):
+    # With fewer, the family fit cannot run and converged trials would read as off-family.
+    ks = np.tile([0.5, 0.2, -0.3], (n, 1))
+    omegas = weyl._omega(weyl.closed_form(V3, ks)[0])
+    assert np.all((np.sin(omegas) >= 0.2) & (np.cos(omegas) >= 0.2))
+    if n < 3:
+        with pytest.raises(QcaError, match="--k-samples"):
+            dirac._verification_set(V3, ks)
+    else:
+        ws, got_omegas, usable = dirac._verification_set(V3, ks)
+        assert np.array_equal(ws, weyl.weyl_matrix(V3, ks)) and usable.all()
+        assert np.array_equal(got_omegas, omegas)
+
+
+@given(st.integers(3, 60).flatmap(
+    lambda n: st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n)))
+@example([0.0, -0.0, 0.0])  # np.mean's sum turns a middle -0.0 into 0.0
+@example([-0.0, -0.0, 1.0, 2.0])
+def test_median_matches_numpy_bit_for_bit(values):
+    x = np.array(values)
+    assert np.float64(dirac._median(x)).tobytes() == np.median(x).tobytes()
 
 
 def test_probe_counts_optimizer_failures(monkeypatch):
@@ -315,6 +343,58 @@ def test_residual_jacobian_matches_central_differences(adjoint_first):
                        axis=1)
     # Roundoff of the differences is about 1e-9 here, against entries of order 10.
     assert maxabs(jac - central) <= 1e-7
+
+
+def _hard_case(z, case):
+    """Random parameters with the named ones set to zero."""
+    z = z.copy()
+    z[{"random": [], "q=0": [1], "r=0": [2], "p=t=0": [0, 3]}[case]] = 0.0
+    return z
+
+
+@pytest.mark.parametrize("case", ["random", "q=0", "r=0", "p=t=0"])
+@pytest.mark.parametrize("adjoint_first", [True, False])
+def test_block_jacobian_matches_einsum_oracle(adjoint_first, case):
+    rng = np.random.default_rng(41)
+    ws = weyl.weyl_matrix(V3, rng.uniform(-1.5, 1.5, size=(12, 3)))
+    for _ in range(5):
+        z = _hard_case(rng.normal(size=12) + 1j * rng.normal(size=12), case)
+        x = _real_params(z)
+        res, jac = dirac._residual_and_jacobian(x, ws, adjoint_first)
+        want_res, want_jac = residual_and_jacobian_einsum(x, ws, adjoint_first)
+        assert np.array_equal(res, want_res)
+        assert jac.shape == want_jac.shape == (12 * 32, 24)
+        assert maxabs(jac - want_jac) <= 1e-14 * maxabs(want_jac)
+        if case == "q=0":  # the X_ab columns vanish
+            assert not jac[:, 8:16].any()
+        if case == "r=0":  # the Y_ab columns vanish
+            assert not jac[:, 16:24].any()
+
+
+def test_probe_trajectory_is_pinned_at_seed_7():
+    # Per-trial residual evaluations and classes of `qca dirac-search --samples
+    # 8 --seed 7`; the masses are those of the einsum Jacobian, to 1e-10.
+    evaluations = []
+    real_lm, real_fun = dirac._levenberg_marquardt, dirac._residual_and_jacobian
+
+    def counted(*args):
+        evaluations[-1] += 1
+        return real_fun(*args)
+
+    def per_trial(*args):
+        evaluations.append(0)
+        return real_lm(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dirac, "_residual_and_jacobian", counted)
+        mp.setattr(dirac, "_levenberg_marquardt", per_trial)
+        report = dirac.uniqueness_probe(n_seeds=8, seed=7)
+    assert evaluations == [9, 9, 10, 16, 10, 8, 9, 8]
+    assert (report["optimizer_failures"], report["converged_unitary"]) == (0, 8)
+    assert (report["decoupled_endpoint"], report["flip_endpoint"],
+            report["dressed_family"], report["off_family_hits"]) == (1, 5, 2, 0)
+    assert np.allclose(report["family_masses"], [0.9978303048860502, 0.25537667741802733],
+                       rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("variant, adjoint_first, block", [
