@@ -7,6 +7,7 @@ byte for byte.
 """
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -22,6 +23,15 @@ def _write(text, path):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+@contextlib.contextmanager
+def _naming_errors(flag, path):
+    """An OSError on the file `path` as a QcaError that names `flag`."""
+    try:
+        yield
+    except OSError as exc:
+        raise QcaError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
 def _emit_report(payload, args):
@@ -138,6 +148,10 @@ def _cmd_evolve(args):
     # inverse FFT.
     plan, hat = evolution.packet_modes(spec, descriptor, lattice)
     basis = descriptor.presentation.basis_matrix
+    # Opened before any stepping: a target that cannot take the snapshot costs no work.
+    with _naming_errors("--snapshot", args.snapshot):
+        stream = args.snapshot and serialize.SnapshotStream(
+            args.snapshot, sizes, hat.shape[-1], args.steps)
 
     stride = args.record_every or max(1, args.steps // 50)
     start = evolution.mode_moments(hat, plan.modes)
@@ -155,9 +169,10 @@ def _cmd_evolve(args):
         position = moments.means - period * np.round((moments.means - position) / period)
         rows.append([recorded, moments.norm] + [float(v) for v in basis @ position])
 
-    if args.snapshot:
-        state = evolution.FieldState(lattice, hat.shape[-1], plan.modes.ifftn(hat), recorded)
-        serialize.save_snapshot(state, args.snapshot)
+    if stream:
+        with _naming_errors("--snapshot", args.snapshot), contextlib.closing(stream):
+            for column, block in plan.modes.ifft_blocks(hat):
+                stream.write(column, block)
     if args.observables:
         d = descriptor.presentation.dimension
         header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]

@@ -202,10 +202,12 @@ def _levenberg_marquardt(fun, x, args=()):
     scale = np.zeros(x.size)
     while nfev < _MAX_NFEV:
         grad, normal = jac.T @ f, jac.T @ jac
-        if np.all(np.abs(grad) <= _TOL * np.sqrt(cost * np.diag(normal))):
+        diag = normal.diagonal()  # read before it is damped in place
+        if np.all(np.abs(grad) <= _TOL * np.sqrt(cost * diag)):
             break
-        scale = np.maximum(scale, np.diag(normal))
-        step = np.linalg.solve(normal + damping * np.diag(scale), -grad)
+        scale = np.maximum(scale, diag)
+        normal.reshape(-1)[::x.size + 1] += damping * scale
+        step = np.linalg.solve(normal, -grad)
         if not np.all(np.isfinite(step)):
             raise np.linalg.LinAlgError("non-finite step")
         f_new, jac_new = fun(x + step, *args)

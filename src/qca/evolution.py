@@ -9,7 +9,8 @@ snapshot scale with that support: the envelope is evaluated on a per-axis
 box, the per-mode matrices gather per-axis phase tables, the branch
 projectors and powers (SpectralPlan) are in closed form for the Weyl and
 Dirac rules, and the snapshot, a run's only inverse FFT, transforms in place
-only the lines the held modes reach.  Moments are read off mode amplitudes.
+only the lines the held modes reach, the last pass in blocks of columns that
+stream to the file.  Moments are read off mode amplitudes.
 A dense state holds every mode.  A direct neighborhood-sum step is the oracle.
 """
 
@@ -28,6 +29,7 @@ from .pauli import maxabs
 _CLOSED_FORM_TOL = 1e-12
 _BRANCH_GAP = 1e-8
 _CHUNK = 4096  # modes per pass of SpectralPlan's decomposition
+_BLOCK_BYTES = 1 << 20  # per column block of Modes.ifft_blocks' last pass
 
 
 @dataclass(frozen=True)
@@ -129,8 +131,17 @@ class Modes:
         `hat` on these modes and zero elsewhere.  Like ifftn it transforms one
         axis at a time from the last, but only the lines that reach a mode: in
         place unless on a view of `hat`, and full lines with no scatter."""
+        (_, out), = self.ifft_blocks(hat, self.count)  # one block: every column
+        return out.reshape(self.sizes + hat.shape[-1:])
+
+    def ifft_blocks(self, hat, columns=None):
+        """ifftn(hat) in blocks: yields (c, block), where block holds the sites
+        of trailing-grid columns c, c + 1, ... (the C-order index over every
+        axis but the first), shape (sizes[0], columns, s).  Only the last pass,
+        over axis 0, runs per block, so the whole grid is never held; by
+        default a block is about _BLOCK_BYTES."""
         keys, out = self.index, hat[:, None, :]
-        for n in reversed(self.sizes):
+        for n in reversed(self.sizes[1:]):
             # The keys are sorted, so a new line starts wherever keys // n grows.
             line = keys // n
             new = np.diff(line, prepend=-1) > 0
@@ -142,7 +153,16 @@ class Modes:
                 grid.reshape((-1,) + out.shape[1:])[(np.cumsum(new) - 1) * n + keys % n] = out
             grid = np.fft.ifft(grid, axis=1, out=None if np.may_share_memory(grid, hat) else grid)
             keys, out = line[new], grid.reshape(shape[0], -1, hat.shape[-1])
-        return out.reshape(self.sizes + hat.shape[-1:])
+        # Axis 0: keys are the occupied rows, out their (len(keys), C, s) lines.
+        n = self.sizes[0]
+        columns = columns or max(1, _BLOCK_BYTES // (16 * n * hat.shape[-1]))
+        for lo in range(0, out.shape[1], columns):
+            part = grid = out[:, lo:lo + columns]
+            if len(keys) < n:
+                grid = np.zeros((n,) + part.shape[1:], dtype=complex)
+                grid[keys] = part
+            yield lo, np.fft.ifft(grid, axis=0,
+                                  out=None if np.may_share_memory(grid, hat) else grid)
 
 
 def mode_matrices(descriptor, modes):

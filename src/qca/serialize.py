@@ -7,7 +7,9 @@ internal dimension, time, then complex amplitudes with the internal index
 fastest.
 """
 
+import errno
 import math
+import os
 import struct
 
 import numpy as np
@@ -221,19 +223,48 @@ def descriptor_from_dict(doc):
     )
 
 
+def _snapshot_header(sizes, internal_dim, time):
+    return SNAPSHOT_MAGIC + struct.pack(
+        f"<II{len(sizes)}IIq", SNAPSHOT_VERSION, len(sizes), *sizes, internal_dim, time)
+
+
 def save_snapshot(state, path):
     """Write the fixed little-endian snapshot layout."""
-    sizes = state.lattice.sizes
-    header = SNAPSHOT_MAGIC
-    header += struct.pack("<I", SNAPSHOT_VERSION)
-    header += struct.pack("<I", len(sizes))
-    header += struct.pack(f"<{len(sizes)}I", *sizes)
-    header += struct.pack("<I", state.internal_dim)
-    header += struct.pack("<q", state.time)
     body = np.ascontiguousarray(state.amplitudes, dtype="<c16")
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_snapshot_header(state.lattice.sizes, state.internal_dim, state.time))
         fh.write(body)
+
+
+class SnapshotStream:
+    """The snapshot layout written block by block, so that the lattice is never
+    held whole: the header on opening (a pipe fails there: it cannot seek),
+    then each block of Modes.ifft_blocks, row by row, at its offsets.  Only the
+    last row brings the file to its declared length, so a stream cut short
+    leaves one that load_snapshot rejects."""
+
+    def __init__(self, path, sizes, internal_dim, time):
+        header = _snapshot_header(sizes, internal_dim, time)
+        self._start, self._site = len(header), 16 * internal_dim
+        self._row = self._site * math.prod(sizes[1:])  # bytes per axis-0 row
+        self._fh = open(path, "wb", buffering=0)
+        try:
+            self._pwrite(header, 0)
+        except OSError:
+            self.close()
+            raise
+
+    def _pwrite(self, data, offset):
+        if os.pwrite(self._fh.fileno(), data, offset) != memoryview(data).nbytes:
+            raise OSError(errno.EIO, "short write to the snapshot")
+
+    def write(self, column, block):
+        """Write the (sizes[0], columns, s) block whose first column is `column`."""
+        for i, row in enumerate(np.ascontiguousarray(block, dtype="<c16")):
+            self._pwrite(row, self._start + i * self._row + column * self._site)
+
+    def close(self):
+        self._fh.close()
 
 
 def load_snapshot(path, presentation):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,71 @@ def test_evolve_rejects_bad_packet_before_any_work(capsys, tmp_path, packet, mes
     assert out == ""
     assert message in err
     assert not snap.exists() and not obs.exists()
+
+
+EVOLVE_16 = ["evolve", "--builtin", "bcc-a-plus", "--sizes", "16,16,16", "--steps", "3",
+             "--packet", "k0=0.3,0,0;sigma=0.2;x0=8,8,8"]
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "pipe"])
+def test_evolve_rejects_snapshot_target_before_stepping(capsys, tmp_path, monkeypatch, target):
+    def advance(self, hat, steps):
+        raise AssertionError("stepped before the snapshot target was checked")
+    monkeypatch.setattr(evolution.SpectralPlan, "advance", advance)
+    obs = tmp_path / "obs.csv"
+    fds = os.pipe() if target == "pipe" else ()
+    # A pipe opens for writing (its read end is held) but cannot seek.
+    path = (f"/dev/fd/{fds[1]}" if fds else
+            str(tmp_path if target == "directory" else tmp_path / "no" / "out.qcas"))
+    try:
+        code, out, err = _run(capsys, EVOLVE_16 + ["--snapshot", path, "--observables", str(obs)])
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert code == 2
+    assert out == ""
+    assert "--snapshot" in err
+    assert not obs.exists()
+
+
+def test_evolve_snapshot_cut_short_is_rejected_on_load(capsys, tmp_path, monkeypatch):
+    # 40-column blocks split the 256 columns of 16^3 into 7 blocks; the disk
+    # fills at the first write of the second block (the header and 16 rows before it).
+    monkeypatch.setattr(evolution, "_BLOCK_BYTES", 16 * 16 * 2 * 40)
+    pwrite, calls = os.pwrite, []
+
+    def full_disk(fd, data, offset):
+        calls.append(offset)
+        if len(calls) > 1 + 16:
+            raise OSError(28, "No space left on device")
+        return pwrite(fd, data, offset)
+    monkeypatch.setattr(serialize.os, "pwrite", full_disk)
+    snap = tmp_path / "out.qcas"
+    code, out, err = _run(capsys, EVOLVE_16 + ["--snapshot", str(snap)])
+    assert code == 2
+    assert out == ""
+    assert "--snapshot" in err and "No space left" in err
+    assert len(calls) == 1 + 16 + 1
+    with pytest.raises(ValueError, match="its header declares"):
+        serialize.load_snapshot(snap, build_presentation("bcc_3d"))
+
+
+def test_evolve_snapshot_never_holds_the_lattice(tmp_path):
+    # The 64^3 x 4 lattice is a 16 MiB snapshot body; the stream holds the
+    # pass-2 intermediate (the packet's occupied axis-0 rows) and one block.
+    argv = ["evolve", "--builtin", "dirac-3d", "--mass", "0.5", "--sizes", "64,64,64",
+            "--steps", "100", "--record-every", "100",
+            "--packet", "k0=0.3,0,0;sigma=0.08;x0=32,32,32",
+            "--snapshot", str(tmp_path / "out.qcas"), "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    body = 64 ** 3 * 4 * 16
+    assert (tmp_path / "out.qcas").stat().st_size == 36 + body
+    assert peak <= body / 2, peak / 2 ** 20
 
 
 def test_report_escapes_control_characters():

@@ -10,9 +10,9 @@ import scipy.sparse
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from qca import catalog, evolution
+from qca import catalog, evolution, serialize
 from qca.automaton import AutomatonDescriptor, TransitionRule
-from qca.cayley import make_tiling
+from qca.cayley import build_presentation, make_tiling
 from qca.errors import ZoneLeakError
 from qca.pauli import maxabs
 
@@ -311,6 +311,22 @@ def test_plan_rejects_mismatched_amplitudes():
         plan.advance(np.zeros((16, 2), dtype=complex), -1)
 
 
+def _assert_streams_as_saved(modes, hat, tmp_path):
+    """The snapshot SnapshotStream writes from Modes.ifft_blocks, with one column
+    per block, 3 (a ragged last block) or the default, is save_snapshot's byte
+    for byte."""
+    kind = {1: "line", 2: "square_2d", 3: "bcc_3d"}[len(modes.sizes)]
+    lattice = evolution.LatticeSpec(build_presentation(kind), modes.sizes)
+    serialize.save_snapshot(evolution.FieldState(lattice, hat.shape[-1], modes.ifftn(hat), 9),
+                            tmp_path / "saved.qcas")
+    for columns in (1, 3, None):
+        stream = serialize.SnapshotStream(tmp_path / "streamed.qcas", modes.sizes, hat.shape[-1], 9)
+        for column, block in modes.ifft_blocks(hat, columns):
+            stream.write(column, block)
+        stream.close()
+        assert (tmp_path / "streamed.qcas").read_bytes() == (tmp_path / "saved.qcas").read_bytes()
+
+
 def _scattered_ifftn(modes, hat):
     """The reference inverse: the held modes scattered onto the grid, then ifftn."""
     grid = np.zeros((modes.count, hat.shape[-1]), dtype=complex)
@@ -328,7 +344,7 @@ def _scattered_ifftn(modes, hat):
     ("weyl-1d", None, (32,), (0.5,), 0.2),
     ("dirac-1d", 0.2, (31,), (-0.4,), 0.2),
 ])
-def test_pruned_ifftn_is_bit_identical_to_ifftn(name, mass, sizes, k0, sigma):
+def test_pruned_ifftn_is_bit_identical_to_ifftn(name, mass, sizes, k0, sigma, tmp_path):
     descriptor = _descriptor(name, mass)
     lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
     spec = evolution.WavePacketSpec(k0, sigma, tuple(n // 4 for n in sizes), "plus")
@@ -341,10 +357,13 @@ def test_pruned_ifftn_is_bit_identical_to_ifftn(name, mass, sizes, k0, sigma):
     noise = rng.normal(size=hat.shape) + 1j * rng.normal(size=hat.shape)
     for amps in (hat, plan.advance(hat, 7), noise):
         assert np.array_equal(plan.modes.ifftn(amps), _scattered_ifftn(plan.modes, amps))
+    _assert_streams_as_saved(plan.modes, noise, tmp_path)
 
 
-@pytest.mark.parametrize("sizes,s", [((6, 5, 4), 4), ((7, 8), 2), ((9,), 1)])
-def test_pruned_ifftn_full_grid_and_random_supports(sizes, s):
+@pytest.mark.parametrize("sizes,s", [
+    ((6, 5, 4), 4), ((7, 8), 2), ((9,), 1), ((5, 7, 6), 2), ((6, 5), 4), ((10,), 2),
+])
+def test_pruned_ifftn_full_grid_and_random_supports(sizes, s, tmp_path):
     # Every mode: each pass's lines are full, and the first pass's grid is a
     # view of hat, which must not be transformed in place.  Mixed: every mode
     # whose next-to-last coordinate is 1; its first pass has full lines and
@@ -362,6 +381,7 @@ def test_pruned_ifftn_full_grid_and_random_supports(sizes, s):
         out = modes.ifftn(hat)
         assert same_bits(hat, before)
         assert same_bits(out, _scattered_ifftn(modes, hat))
+        _assert_streams_as_saved(modes, hat, tmp_path)
 
 
 @pytest.mark.parametrize("name,mass,sizes", [
