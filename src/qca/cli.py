@@ -148,7 +148,8 @@ def _cmd_evolve(args):
     # inverse FFT.
     plan, hat = evolution.packet_modes(spec, descriptor, lattice)
     basis = descriptor.presentation.basis_matrix
-    # Opened before any stepping: a target that cannot take the snapshot costs no work.
+    # Opened (and an existing file truncated) before any stepping: a target
+    # that cannot take the snapshot costs no work.
     with _naming_errors("--snapshot", args.snapshot):
         stream = args.snapshot and serialize.SnapshotStream(
             args.snapshot, sizes, hat.shape[-1], args.steps)
@@ -161,18 +162,19 @@ def _cmd_evolve(args):
     # previous one (the first, of x0), so the trajectory does not jump by n.
     period = np.asarray(sizes, dtype=float)
     position = np.asarray(spec.center_x, dtype=float)
-    while recorded < args.steps:
-        advance = min(stride, args.steps - recorded)
-        hat = plan.advance(hat, advance)
-        recorded += advance
-        moments = evolution.mode_moments(hat, plan.modes)
-        position = moments.means - period * np.round((moments.means - position) / period)
-        rows.append([recorded, moments.norm] + [float(v) for v in basis @ position])
-
-    if stream:
-        with _naming_errors("--snapshot", args.snapshot), contextlib.closing(stream):
-            for column, block in plan.modes.ifft_blocks(hat):
-                stream.write(column, block)
+    # The stream is closed on every exit, an interrupted stepping loop included.
+    with contextlib.closing(stream) if stream else contextlib.nullcontext():
+        while recorded < args.steps:
+            advance = min(stride, args.steps - recorded)
+            hat = plan.advance(hat, advance)
+            recorded += advance
+            moments = evolution.mode_moments(hat, plan.modes)
+            position = moments.means - period * np.round((moments.means - position) / period)
+            rows.append([recorded, moments.norm] + [float(v) for v in basis @ position])
+        if stream:
+            with _naming_errors("--snapshot", args.snapshot):
+                for column, block in plan.modes.ifft_blocks(hat):
+                    stream.write(column, block)
     if args.observables:
         d = descriptor.presentation.dimension
         header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]

@@ -202,7 +202,7 @@ def _levenberg_marquardt(fun, x, args=()):
     scale = np.zeros(x.size)
     while nfev < _MAX_NFEV:
         grad, normal = jac.T @ f, jac.T @ jac
-        diag = normal.diagonal()  # read before it is damped in place
+        diag = normal.diagonal()  # a view: read it only before the damping below
         if np.all(np.abs(grad) <= _TOL * np.sqrt(cost * diag)):
             break
         scale = np.maximum(scale, diag)

@@ -139,7 +139,8 @@ class Modes:
         of trailing-grid columns c, c + 1, ... (the C-order index over every
         axis but the first), shape (sizes[0], columns, s).  Only the last pass,
         over axis 0, runs per block, so the whole grid is never held; by
-        default a block is about _BLOCK_BYTES."""
+        default a block is about _BLOCK_BYTES, or every column when every
+        axis-0 row holds a mode."""
         keys, out = self.index, hat[:, None, :]
         for n in reversed(self.sizes[1:]):
             # The keys are sorted, so a new line starts wherever keys // n grows.
@@ -154,8 +155,11 @@ class Modes:
             grid = np.fft.ifft(grid, axis=1, out=None if np.may_share_memory(grid, hat) else grid)
             keys, out = line[new], grid.reshape(shape[0], -1, hat.shape[-1])
         # Axis 0: keys are the occupied rows, out their (len(keys), C, s) lines.
+        # With every row occupied, out is the whole grid: blocks would save no
+        # memory, only add copies and writes, so one block transforms it in place.
         n = self.sizes[0]
-        columns = columns or max(1, _BLOCK_BYTES // (16 * n * hat.shape[-1]))
+        columns = columns or (out.shape[1] if len(keys) == n else
+                              max(1, _BLOCK_BYTES // (16 * n * hat.shape[-1])))
         for lo in range(0, out.shape[1], columns):
             part = grid = out[:, lo:lo + columns]
             if len(keys) < n:

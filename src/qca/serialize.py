@@ -260,7 +260,10 @@ class SnapshotStream:
 
     def write(self, column, block):
         """Write the (sizes[0], columns, s) block whose first column is `column`."""
-        for i, row in enumerate(np.ascontiguousarray(block, dtype="<c16")):
+        block = np.ascontiguousarray(block, dtype="<c16")
+        if block[0].nbytes == self._row:  # every column: one span of the file
+            block = block.reshape(1, -1)
+        for i, row in enumerate(block):
             self._pwrite(row, self._start + i * self._row + column * self._site)
 
     def close(self):

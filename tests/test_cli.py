@@ -352,12 +352,29 @@ def test_evolve_snapshot_cut_short_is_rejected_on_load(capsys, tmp_path, monkeyp
         serialize.load_snapshot(snap, build_presentation("bcc_3d"))
 
 
+def test_evolve_closes_snapshot_when_stepping_fails(tmp_path, monkeypatch):
+    def advance(self, hat, steps):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(evolution.SpectralPlan, "advance", advance)
+    closed, close = [], serialize.SnapshotStream.close
+    monkeypatch.setattr(serialize.SnapshotStream, "close",
+                        lambda self: closed.append(True) or close(self))
+    snap = tmp_path / "out.qcas"
+    with pytest.raises(KeyboardInterrupt):
+        main(EVOLVE_16 + ["--snapshot", str(snap)])
+    assert closed == [True]
+    with pytest.raises(ValueError, match="its header declares"):
+        serialize.load_snapshot(snap, build_presentation("bcc_3d"))
+
+
 def test_evolve_snapshot_never_holds_the_lattice(tmp_path):
     # The 64^3 x 4 lattice is a 16 MiB snapshot body; the stream holds the
-    # pass-2 intermediate (the packet's occupied axis-0 rows) and one block.
+    # pass-2 intermediate (the packet's occupied axis-0 rows, 14 of 64 at
+    # sigma = 0.06) and one block, about 6 MiB traced in all; the whole
+    # lattice, built at once, traces about 20 MiB.
     argv = ["evolve", "--builtin", "dirac-3d", "--mass", "0.5", "--sizes", "64,64,64",
             "--steps", "100", "--record-every", "100",
-            "--packet", "k0=0.3,0,0;sigma=0.08;x0=32,32,32",
+            "--packet", "k0=0.3,0,0;sigma=0.06;x0=32,32,32",
             "--snapshot", str(tmp_path / "out.qcas"), "--output", os.devnull]
     tracemalloc.start()
     try:

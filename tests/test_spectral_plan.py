@@ -384,6 +384,15 @@ def test_pruned_ifftn_full_grid_and_random_supports(sizes, s, tmp_path):
         _assert_streams_as_saved(modes, hat, tmp_path)
 
 
+def test_ifft_blocks_takes_one_block_when_every_row_is_held(monkeypatch):
+    # Blocks of one column by default; with every axis-0 row held, the grid is
+    # whole before the last pass, so it is transformed as one block.
+    monkeypatch.setattr(evolution, "_BLOCK_BYTES", 1)
+    hat = np.ones((4, 2), dtype=complex)
+    assert len(list(evolution.Modes((4, 5), np.arange(4) * 5).ifft_blocks(hat))) == 1
+    assert len(list(evolution.Modes((4, 5), np.arange(3) * 5).ifft_blocks(hat[:3]))) == 5
+
+
 @pytest.mark.parametrize("name,mass,sizes", [
     ("bcc-a-plus", None, (9, 8, 7)), ("dirac-3d", 0.5, (8, 7, 6)),
     ("weyl-2d", None, (10, 9)), ("dirac-1d", 0.3, (17,)),
