@@ -8,6 +8,7 @@ byte for byte.
 
 import argparse
 import contextlib
+import functools
 import sys
 
 import numpy as np
@@ -17,14 +18,6 @@ from .cayley import build_presentation, make_tiling
 from .errors import PacketBoundaryError, QcaError
 
 
-def _write(text, path):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 @contextlib.contextmanager
 def _naming_errors(flag, path):
     """An OSError on the file `path` as a QcaError that names `flag`."""
@@ -32,6 +25,23 @@ def _naming_errors(flag, path):
         yield
     except OSError as exc:
         raise QcaError(f"{flag} {path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def _opened(path, flag="--output"):
+    """The text file `path` (standard output for None or "-"), opened on entry;
+    an OSError on it names `flag`."""
+    if path in (None, "-"):
+        yield sys.stdout
+        return
+    with _naming_errors(flag, path), open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
+def _write(document, path, flag="--output"):
+    """Write a document: a string, or an iterable of its pieces."""
+    with _opened(path, flag) as fh:
+        fh.writelines([document] if isinstance(document, str) else document)
 
 
 def _emit_report(payload, args):
@@ -82,29 +92,47 @@ def _cmd_validate(args):
 
 # ----------------------------------------------------------- dispersion
 
+_K_BLOCK = 4096  # wave-vectors per dispersion call
+
+
+def _dispersion_table(presentation, grid, sweep):
+    """Rows (k, omega+, omega-, v) over the zone grid in np.ndindex order (the last
+    group coordinate varies fastest), filled by one sweep(k) per block of
+    wave-vectors: the closed forms act per row, so the bits are those of one
+    call over the whole grid."""
+    d = presentation.dimension
+    axis = np.arange(grid) * (2.0 * np.pi / grid) - np.pi
+    rows = np.empty((grid ** d, 2 * d + 2))
+    for start in range(0, len(rows), _K_BLOCK):
+        block = rows[start:start + _K_BLOCK]
+        index = np.unravel_index(np.arange(start, start + len(block)), (grid,) * d)
+        k = presentation.k_of_theta(axis[np.stack(index, axis=-1)])
+        sample = sweep(k)
+        np.concatenate([k, sample.omega, sample.group_velocity], axis=1, out=block)
+    return rows
+
+
 def _cmd_dispersion(args):
     if args.grid < 1:
         raise QcaError("--grid must be at least 1")
     variant = weyl.variant_by_name(args.variant, theta=args.theta)
-    pres = build_presentation(variant.presentation_kind)
-    d = variant.dimension
-    axis = np.arange(args.grid) * (2.0 * np.pi / args.grid) - np.pi
-    # Rows in np.ndindex order: the last group coordinate varies fastest.
-    theta = np.stack(np.meshgrid(*(axis,) * d, indexing="ij"), axis=-1).reshape(-1, d)
-    k = pres.k_of_theta(theta)
     if args.dirac:
         dd = dirac.DiracDescriptor(weyl=variant, mass=args.mass)
-        sample = dirac.dirac_dispersion(dd, k)
+        sweep = functools.partial(dirac.dirac_dispersion, dd)
     else:
-        sample = weyl.dispersion(variant, k)
-    rows = np.hstack([k, sample.omega, sample.group_velocity])
-    if args.emit == "csv":
-        header = ([f"k{j + 1}" for j in range(d)] + ["omega_plus", "omega_minus"]
-                  + [f"v{j + 1}" for j in range(d)])
-        _write(serialize.csv_document(header, rows), args.output)
-    else:
-        _emit_report({"variant": args.variant, "dirac": bool(args.dirac),
-                      "grid": args.grid, "rows": rows}, args)
+        sweep = functools.partial(weyl.dispersion, variant)
+    pres = build_presentation(variant.presentation_kind)
+    d = variant.dimension
+    # Opened before the sweep: a target that cannot take the table costs no work.
+    with _opened(args.output) as fh:
+        rows = _dispersion_table(pres, args.grid, sweep)
+        if args.emit == "csv":
+            header = ([f"k{j + 1}" for j in range(d)] + ["omega_plus", "omega_minus"]
+                      + [f"v{j + 1}" for j in range(d)])
+            fh.writelines(serialize.csv_document(header, rows))
+        else:
+            fh.write(serialize.report_document({"variant": args.variant, "dirac": bool(args.dirac),
+                                                "grid": args.grid, "rows": rows}))
     return 0
 
 
@@ -179,7 +207,7 @@ def _cmd_evolve(args):
         d = descriptor.presentation.dimension
         header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]
         # The step prints as a float: "%.17g" of an integer below 2**53 is its "%d".
-        _write(serialize.csv_document(header, rows), args.observables)
+        _write(serialize.csv_document(header, rows), args.observables, "--observables")
 
     summary = {
         "steps": args.steps,

@@ -8,6 +8,7 @@ fastest.
 """
 
 import errno
+import itertools
 import math
 import os
 import struct
@@ -30,19 +31,38 @@ def _format_float(x):
     return format(float(x), ".17g")
 
 
-def format_table(template, table):
-    """template % the table's values in C order as "%.17g" prints them, formatting each
-    distinct bit pattern once (unlike a float unique, the int64 view keeps -0.0 apart)."""
+_PIECE_ROWS = 1024  # table rows per piece of a CSV document
+
+
+def _distinct_text(table, what):
+    """The "%.17g" text of each distinct bit pattern of the table (unlike a float
+    unique, the int64 view keeps -0.0 apart) and each C-order cell's index into it.
+    A non-finite value raises FloatingPointError, not a usage error."""
     flat = np.ascontiguousarray(table, dtype=float).ravel()
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    values = bits.view(float)
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite value in a {what}")
+    return np.array(["%.17g" % v for v in values.tolist()], dtype=object), inverse
+
+
+def format_table(template, table):
+    """template % the table's values in C order as "%.17g" prints them, formatting each
+    distinct bit pattern once."""
+    text, inverse = _distinct_text(table, "report")
     return template % tuple(text[inverse].tolist())
 
 
 def csv_document(header, table):
-    """The header line, then one line per table row."""
-    line = ",".join(["%s"] * len(header))
-    return format_table("\n".join([",".join(header)] + [line] * len(table)) + "\n", table)
+    """The header line, then one line per table row, as an iterator over pieces of
+    _PIECE_ROWS rows.  The table is deduplicated and checked whole on the call, so
+    a non-finite cell raises before any piece is written."""
+    text, inverse = _distinct_text(table, "table")
+    cells = inverse.reshape(-1, len(header))
+    line = ",".join(["%s"] * len(header)) + "\n"
+    pieces = ((line * len(block)) % tuple(text[block.ravel()].tolist())
+              for block in np.split(cells, range(_PIECE_ROWS, len(cells), _PIECE_ROWS)))
+    return itertools.chain([",".join(header) + "\n"], pieces)
 
 
 # JSON string escapes: quote, backslash and every control character.
@@ -72,8 +92,6 @@ def dumps_stable(obj):
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2 or obj.dtype.kind != "f":
             return dumps_stable(obj.tolist())
-        if not np.isfinite(obj).all():
-            raise FloatingPointError("non-finite value in a report")
         row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
         return format_table("[" + ",".join([row] * obj.shape[0]) + "]", obj)
     if isinstance(obj, dict):

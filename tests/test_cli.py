@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qca
-from qca import catalog, dirac, evolution, fock, maxwell, serialize, weyl
+from qca import catalog, cli, dirac, evolution, fock, maxwell, serialize, weyl
 from qca.cayley import build_presentation, make_tiling
 from qca.cli import main
 from qca.errors import DescriptorError
@@ -148,37 +148,66 @@ def _dispersion_per_row(variant_name, dirac_mass, grid):
     return csv, report
 
 
-@pytest.mark.parametrize("variant, mass, grid", [
-    ("bcc-a-plus", None, 6), ("bcc-a-plus", 0.3, 6), ("weyl-1d", None, 5)])
-def test_dispersion_bytes_match_per_row_format(capsys, variant, mass, grid):
+def _dispersion_argv(variant, mass, grid):
     argv = ["dispersion", "--variant", variant, "--grid", str(grid)]
-    if mass is not None:
-        argv += ["--dirac", "--mass", str(mass)]
+    return argv if mass is None else argv + ["--dirac", "--mass", str(mass)]
+
+
+# The table is filled per block of 4096 wave-vectors and written per piece of
+# 1024 rows: 1,331 rows cross a piece, 4,500, 4,900 and 4,913 a block as well.
+@pytest.mark.parametrize("variant, mass, grid", [
+    ("bcc-a-plus", None, 6), ("bcc-a-plus", 0.3, 6), ("weyl-1d", None, 5),
+    ("weyl-1d", None, 4500), ("weyl-2d", None, 70), ("bcc-a-plus", None, 11),
+    ("bcc-a-plus", None, 17), ("bcc-a-plus", 0.3, 17)])
+def test_dispersion_bytes_match_per_row_format(capsys, variant, mass, grid):
+    argv = _dispersion_argv(variant, mass, grid)
     csv, report = _dispersion_per_row(variant, mass, grid)
     assert _run(capsys, argv + ["--emit", "csv"])[:2] == (0, csv)
     assert _run(capsys, argv + ["--emit", "json"])[:2] == (0, report)
-    assert ("-0," in csv) == (variant == "bcc-a-plus")  # a signed zero, printed as such
+    if grid <= 6:
+        assert ("-0," in csv) == (variant == "bcc-a-plus")  # a signed zero, printed as such
+
+
+@pytest.mark.parametrize("variant, mass, grid", [
+    ("weyl-1d", None, 40), ("weyl-2d", None, 9), ("bcc-a-plus", None, 5), ("bcc-a-plus", 0.3, 5)])
+def test_dispersion_bytes_with_ragged_blocks_and_pieces(capsys, monkeypatch, variant, mass, grid):
+    monkeypatch.setattr(cli, "_K_BLOCK", 7)
+    monkeypatch.setattr(serialize, "_PIECE_ROWS", 5)
+    csv, report = _dispersion_per_row(variant, mass, grid)
+    argv = _dispersion_argv(variant, mass, grid)
+    assert _run(capsys, argv + ["--emit", "csv"])[:2] == (0, csv)
+    assert _run(capsys, argv + ["--emit", "json"])[:2] == (0, report)
+
+
+def test_dispersion_stdout_matches_output_file(capsys, tmp_path):
+    argv = _dispersion_argv("bcc-a-plus", 0.3, 17)
+    path = tmp_path / "table.csv"
+    assert _run(capsys, argv + ["--output", str(path)])[:2] == (0, "")
+    code, out, _ = _run(capsys, argv + ["--output", "-"])
+    assert code == 0
+    assert out.encode() == path.read_bytes()
 
 
 def test_non_finite_dispersion_is_not_a_usage_error():
     # A fresh interpreter, so that the exit code is the process's own.
-    script = (
-        "import dataclasses, sys\n"
-        "import numpy as np\n"
-        "from qca import cli, weyl\n"
-        "real = weyl.dispersion\n"
-        "weyl.dispersion = lambda variant, k: dataclasses.replace(\n"
-        "    real(variant, k), omega=np.full((len(k), 2), np.nan))\n"
-        "sys.exit(cli.main(['dispersion', '--variant', 'weyl-1d', '--grid', '4',"
-        " '--emit', 'json']))\n"
-    )
     src = str(Path(qca.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert proc.returncode not in (0, 2)
-    assert "FloatingPointError: non-finite value in a report" in proc.stderr
-    assert proc.stdout == ""
+    for emit, document in (("json", "report"), ("csv", "table")):
+        script = (
+            "import dataclasses, sys\n"
+            "import numpy as np\n"
+            "from qca import cli, weyl\n"
+            "real = weyl.dispersion\n"
+            "weyl.dispersion = lambda variant, k: dataclasses.replace(\n"
+            "    real(variant, k), omega=np.full((len(k), 2), np.nan))\n"
+            "sys.exit(cli.main(['dispersion', '--variant', 'weyl-1d', '--grid', '4',"
+            f" '--emit', '{emit}']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode not in (0, 2)
+        assert f"FloatingPointError: non-finite value in a {document}" in proc.stderr
+        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("grid", ["0", "-2"])
@@ -328,6 +357,34 @@ def test_evolve_rejects_snapshot_target_before_stepping(capsys, tmp_path, monkey
     assert out == ""
     assert "--snapshot" in err
     assert not obs.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["dispersion", "--variant", "bcc-a-plus", "--grid", "4"], "--output"),
+    (["graph", "--kind", "line"], "--output"),
+    (EVOLVE_16, "--output"),
+    (EVOLVE_16, "--observables"),
+], ids=["dispersion", "graph", "evolve-output", "evolve-observables"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_bad_output_target_names_its_flag(capsys, tmp_path, monkeypatch, argv, flag, target):
+    if argv[0] == "dispersion":  # its --output is opened before the sweep
+        def sweep(variant, k):
+            raise AssertionError("swept before the --output target was checked")
+        monkeypatch.setattr(weyl, "dispersion", sweep)
+    path = str(tmp_path if target == "directory" else tmp_path / "no" / "out")
+    code, out, err = _run(capsys, argv + [flag, path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} {path}: ")
+
+
+def test_dispersion_rejects_bad_mass_before_opening_output(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    code, out, err = _run(capsys, _dispersion_argv("bcc-a-plus", 1.5, 4) + ["--output", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "mass" in err
+    assert not path.exists()
 
 
 def test_evolve_snapshot_cut_short_is_rejected_on_load(capsys, tmp_path, monkeypatch):

@@ -33,12 +33,35 @@ def _tables(values):
         st.just(cols), st.lists(st.lists(values, min_size=cols, max_size=cols), max_size=12)))
 
 
-@given(_tables(VALUES))
+@given(_tables(FINITE))
 def test_csv_document_matches_per_value_format(table):
     cols, rows = table
     header = [f"c{j}" for j in range(cols)]
     expected = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
-    assert serialize.csv_document(header, rows) == "\n".join(expected) + "\n"
+    assert "".join(serialize.csv_document(header, rows)) == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("piece_rows", [1, 2, 3, 1024])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+def test_csv_document_pieces_split_at_row_boundaries(monkeypatch, piece_rows, count):
+    monkeypatch.setattr(serialize, "_PIECE_ROWS", piece_rows)
+    rows = np.arange(2.0 * count).reshape(count, 2) / 3.0
+    pieces = list(serialize.csv_document(["a", "b"], rows))
+    assert pieces[0] == "a,b\n"
+    lines = [piece.count("\n") for piece in pieces[1:]]
+    assert sum(lines) == count
+    assert all(n == piece_rows for n in lines[:-1]) and lines[-1] <= piece_rows
+    assert "".join(pieces) == "a,b\n" + "".join("%.17g,%.17g\n" % tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, NAN_NEGATIVE, math.inf, -math.inf],
+                         ids=["nan", "-nan", "inf", "-inf"])
+def test_non_finite_table_cell_raises_on_the_call(bad):
+    # Raised before the first piece, so a file opened for the table gets none.
+    rows = np.full((3 * serialize._PIECE_ROWS, 2), 0.5)
+    rows[-1, 1] = bad
+    with pytest.raises(FloatingPointError, match="non-finite value in a table"):
+        serialize.csv_document(["a", "b"], rows)
 
 
 @given(_tables(FINITE))
@@ -49,7 +72,8 @@ def test_dumps_stable_table_matches_nested_lists(table):
 
 
 def test_sign_bit_of_zero_survives_deduplication():
-    assert serialize.csv_document(["a", "b"], [[0.0, -0.0], [-0.0, 0.0]]) == "a,b\n0,-0\n-0,0\n"
+    pieces = serialize.csv_document(["a", "b"], [[0.0, -0.0], [-0.0, 0.0]])
+    assert "".join(pieces) == "a,b\n0,-0\n-0,0\n"
 
 
 @pytest.mark.parametrize("bad", [math.nan, NAN_NEGATIVE, math.inf, -math.inf],
