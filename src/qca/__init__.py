@@ -43,9 +43,7 @@ from .evolution import (
     WavePacketSpec,
     apply_tiling,
     make_packet,
-    measure_packet_velocity,
     step_direct,
-    step_spectral,
     tile_descriptor,
 )
 from .fock import FockOracle, fock_commutator_deviation

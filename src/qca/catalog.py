@@ -23,7 +23,9 @@ from .cayley import IDENTITY_LABEL, build_presentation, inverse_label
 from .pauli import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, maxabs
 
 WEYL_NAMES = tuple(weyl_mod.named_variants().keys())
-DIRAC_NAMES = ("dirac-1d", "dirac-2d", "dirac-3d")
+# Each Dirac builtin couples the chiral variant it maps to.
+_DIRAC_BASES = {"dirac-1d": "weyl-1d", "dirac-2d": "weyl-2d", "dirac-3d": "bcc-a-plus"}
+DIRAC_NAMES = tuple(_DIRAC_BASES)
 
 
 def _isotropy_group(presentation, plus_maps, unitaries):
@@ -110,11 +112,8 @@ def identity_descriptor(presentation, internal_dim=2):
     return AutomatonDescriptor(presentation=presentation, rule=rule, name="identity")
 
 
-def dirac_variant_for(name):
-    dim = int(name.split("-")[1].rstrip("d"))
-    return {1: weyl_mod.WeylVariant(1),
-            2: weyl_mod.WeylVariant(2),
-            3: weyl_mod.WeylVariant(3, kind="A", sign=1)}[dim]
+def dirac_variant_for(name, theta=0.0):
+    return weyl_mod.variant_by_name(_DIRAC_BASES[name], theta=theta)
 
 
 def build_descriptor(name, mass=None, theta=0.0):
@@ -124,11 +123,7 @@ def build_descriptor(name, mass=None, theta=0.0):
             raise ValueError("mass applies to dirac descriptors only")
         return weyl_descriptor(weyl_mod.variant_by_name(name, theta=theta))
     if name in DIRAC_NAMES:
-        base = dirac_variant_for(name)
-        if theta != 0.0:
-            if base.dimension != 2:
-                raise ValueError("theta applies to two-dimensional descriptors only")
-            base = weyl_mod.WeylVariant(2, theta=theta)
+        base = dirac_variant_for(name, theta=theta)
         m = 0.1 if mass is None else float(mass)
         return dirac_descriptor(dirac_mod.DiracDescriptor(weyl=base, mass=m))
     raise ValueError(

@@ -38,14 +38,10 @@ def _opened(path, flag="--output"):
         yield fh
 
 
-def _write(document, path, flag="--output"):
-    """Write a document: a string, or an iterable of its pieces."""
-    with _opened(path, flag) as fh:
-        fh.writelines([document] if isinstance(document, str) else document)
-
-
 def _emit_report(payload, args):
-    _write(serialize.report_document(payload), args.output)
+    document = serialize.report_document(payload)  # built before the file is opened
+    with _opened(args.output) as fh:
+        fh.write(document)
 
 
 def _load_descriptor(args):
@@ -176,22 +172,25 @@ def _cmd_evolve(args):
     # inverse FFT.
     plan, hat = evolution.packet_modes(spec, descriptor, lattice)
     basis = descriptor.presentation.basis_matrix
-    # Opened (and an existing file truncated) before any stepping: a target
-    # that cannot take the snapshot costs no work.
-    with _naming_errors("--snapshot", args.snapshot):
-        stream = args.snapshot and serialize.SnapshotStream(
-            args.snapshot, sizes, hat.shape[-1], args.steps)
-
     stride = args.record_every or max(1, args.steps // 50)
-    start = evolution.mode_moments(hat, plan.modes)
     rows = []
     recorded = 0
     # Means lie in [0, n); each record takes the image within n/2 of the
     # previous one (the first, of x0), so the trajectory does not jump by n.
     period = np.asarray(sizes, dtype=float)
     position = np.asarray(spec.center_x, dtype=float)
-    # The stream is closed on every exit, an interrupted stepping loop included.
-    with contextlib.closing(stream) if stream else contextlib.nullcontext():
+    # Every target is opened (an existing file truncated) before any stepping,
+    # so one that cannot take its output costs no work, and closed on every
+    # exit, an interrupted stepping loop included.
+    with contextlib.ExitStack() as files:
+        with _naming_errors("--snapshot", args.snapshot):
+            stream = args.snapshot and files.enter_context(contextlib.closing(
+                serialize.SnapshotStream(args.snapshot, sizes, hat.shape[-1], args.steps)))
+        observables = args.observables and files.enter_context(
+            _opened(args.observables, "--observables"))
+        output = files.enter_context(_opened(args.output))
+
+        start = evolution.mode_moments(hat, plan.modes)
         while recorded < args.steps:
             advance = min(stride, args.steps - recorded)
             hat = plan.advance(hat, advance)
@@ -203,26 +202,28 @@ def _cmd_evolve(args):
             with _naming_errors("--snapshot", args.snapshot):
                 for column, block in plan.modes.ifft_blocks(hat):
                     stream.write(column, block)
-    if args.observables:
-        d = descriptor.presentation.dimension
-        header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]
-        # The step prints as a float: "%.17g" of an integer below 2**53 is its "%d".
-        _write(serialize.csv_document(header, rows), args.observables, "--observables")
+        if observables:
+            d = descriptor.presentation.dimension
+            header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]
+            # The step prints as a float: "%.17g" of an integer below 2**53 is its "%d".
+            # An OSError left to the stack would be named --output, the target opened last.
+            with _naming_errors("--observables", args.observables):
+                observables.writelines(serialize.csv_document(header, rows))
 
-    summary = {
-        "steps": args.steps,
-        "norm": moments.norm,
-        "packet": {"k0": list(spec.center_k), "sigma": spec.sigma_k,
-                   "x0": list(spec.center_x), "branch": spec.branch},
-    }
-    try:
-        velocity = evolution.packet_velocity(start, moments, lattice, args.steps)
-        summary["velocity"] = [float(v) for v in velocity]
-    except PacketBoundaryError as exc:
-        # The run itself is valid; only the velocity readout is not.
-        summary["velocity"] = None
-        summary["velocity_error"] = str(exc)
-    _emit_report(summary, args)
+        summary = {
+            "steps": args.steps,
+            "norm": moments.norm,
+            "packet": {"k0": list(spec.center_k), "sigma": spec.sigma_k,
+                       "x0": list(spec.center_x), "branch": spec.branch},
+        }
+        try:
+            velocity = evolution.packet_velocity(start, moments, lattice, args.steps)
+            summary["velocity"] = [float(v) for v in velocity]
+        except PacketBoundaryError as exc:
+            # The run itself is valid; only the velocity readout is not.
+            summary["velocity"] = None
+            summary["velocity_error"] = str(exc)
+        output.write(serialize.report_document(summary))
     return 0
 
 

@@ -81,21 +81,13 @@ def gamma_form(dd, k):
 
 def dirac_dispersion(dd, k):
     """Doubly degenerate eigenphase branches +-arccos(n u(k)) at wave-vectors
-    k of shape (..., d).
+    k of shape (..., d): the chiral dispersion at scale n.
 
     The helicity field reports the coefficient vector of the spatial
     rotation generator in the interpolating Hamiltonian, f(k) n ntilde(k);
     it reduces to the chiral helicity vector at m = 0.
     """
-    k = np.asarray(k, dtype=float)
-    u, nt, gu, _ = weyl.closed_form(dd.weyl, k)
-    w = weyl._omega(dd.n * u)
-    return weyl.DispersionSample(
-        k=k,
-        omega=np.stack([w, -w], axis=-1),
-        group_velocity=weyl.group_velocity(dd.weyl, k, u, gu, scale=dd.n),
-        helicity=(omega_over_sin(w) * dd.n)[..., None] * nt,
-    )
+    return weyl.dispersion(dd.weyl, k, scale=dd.n)
 
 
 def dirac_interpolating_hamiltonian(dd, k):

@@ -11,7 +11,7 @@ projectors and powers (SpectralPlan) are in closed form for the Weyl and
 Dirac rules, and the snapshot, a run's only inverse FFT, transforms in place
 only the lines the held modes reach, the last pass in blocks of columns that
 stream to the file.  Moments are read off mode amplitudes.
-A dense state holds every mode.  A direct neighborhood-sum step is the oracle.
+A dense FieldState holds every site; the direct-sum oracle and tilings act on it.
 """
 
 from dataclasses import dataclass, replace
@@ -73,19 +73,15 @@ def random_state(lattice, internal_dim, rng):
     return FieldState(lattice=lattice, internal_dim=internal_dim, amplitudes=amps)
 
 
-def _check_compatible(state, descriptor):
+def step_direct(state, descriptor):
+    """One step by explicit neighborhood sums with periodic wraparound.
+
+    psi'_g = sum_h A_h psi_{g-h}; the independent oracle for SpectralPlan.
+    """
     if state.lattice.presentation != descriptor.presentation:
         raise ValueError("state lattice and descriptor use different presentations")
     if state.internal_dim != descriptor.internal_dim:
         raise ValueError("internal dimension mismatch between state and rule")
-
-
-def step_direct(state, descriptor):
-    """One step by explicit neighborhood sums with periodic wraparound.
-
-    psi'_g = sum_h A_h psi_{g-h}; the independent oracle for step_spectral.
-    """
-    _check_compatible(state, descriptor)
     d = state.lattice.presentation.dimension
     axes = tuple(range(d))
     out = np.zeros_like(state.amplitudes)
@@ -266,36 +262,14 @@ class SpectralPlan:
         return self._kernel(*power, hat) if self.closed_form else _apply(power, hat)
 
     def project(self, vec, branch):
-        """_branch_projectors(self.mats, branch) @ vec.  In closed form (eigenvalues
-        c -+ i sin(w)) P_plus/minus = I/2 +- i (W - cI) / (2 sin(w)), or I with no branch."""
+        """_apply(P, vec) with P each held mode's branch projector: in closed form
+        (eigenvalues c -+ i sin(w)) P_plus/minus = I/2 +- i (W - cI) / (2 sin(w)),
+        or I with no branch, else _branch_projectors(self.mats, branch)."""
         if not self.closed_form:
-            return _branch_projectors(self.mats, branch) @ vec
+            return _apply(_branch_projectors(self.mats, branch), vec)
         b = np.divide(0.5j if branch == "plus" else -0.5j, self.sin,
                       out=np.zeros(len(self.sin), dtype=complex), where=~self._no_branch)
         return self._kernel(np.where(self._no_branch, 1.0, 0.5), b, vec)
-
-
-def to_modes(state):
-    """Mode amplitudes fftn(psi) over the lattice axes, grid-shaped."""
-    axes = tuple(range(state.lattice.presentation.dimension))
-    return np.fft.fftn(state.amplitudes, axes=axes)
-
-
-def step_spectral(state, descriptor, steps):
-    """Evolve by `steps` applications of the global step, in the mode picture.
-
-    fftn, then the power of every mode's operator from a SpectralPlan that
-    holds every mode, then ifftn; for the catalog rules the cost and the
-    roundoff do not grow with `steps`.
-    """
-    _check_compatible(state, descriptor)
-    if steps == 0:
-        return replace(state)
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    plan = SpectralPlan(descriptor, state.lattice.sizes)
-    out = plan.advance(to_modes(state).reshape(-1, state.internal_dim), steps)
-    return replace(state, amplitudes=plan.modes.ifftn(out), time=state.time + steps)
 
 
 @dataclass(frozen=True)
@@ -388,8 +362,7 @@ def packet_modes(spec, descriptor, lattice):
     # Rows: the reference's branch projector times each unit vector, in closed
     # form where A(theta0) passes the test (every Weyl and Dirac rule), else by eig.
     reference = SpectralPlan.of_stack(assemble(descriptor.rule, pres, theta0).reshape(1, s, s))
-    cols = (reference.project(np.eye(s), spec.branch) if reference.closed_form
-            else _branch_projectors(reference.mats, spec.branch)[0].T)
+    cols = reference.project(np.eye(s), spec.branch)
     # The first column of (nearly) largest norm: symmetric rules tie exactly,
     # and roundoff must not pick the reference.
     norms = np.linalg.norm(cols, axis=1)
@@ -466,15 +439,6 @@ def packet_velocity(before, after, lattice, steps):
     sizes = np.asarray(lattice.sizes, dtype=float)
     delta = np.mod(m1 - m0 + sizes / 2.0, sizes) - sizes / 2.0
     return lattice.presentation.basis_matrix @ (delta / steps)
-
-
-def measure_packet_velocity(before, after, steps):
-    """Cartesian displacement of the circular mean position per step."""
-    if before.lattice != after.lattice:
-        raise ValueError("states live on different lattices")
-    modes = Modes(before.lattice.sizes)
-    moments = [mode_moments(to_modes(s).reshape(modes.count, -1), modes) for s in (before, after)]
-    return packet_velocity(*moments, before.lattice, steps)
 
 
 def tile_descriptor(descriptor, tiling):

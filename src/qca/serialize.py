@@ -246,14 +246,6 @@ def _snapshot_header(sizes, internal_dim, time):
         f"<II{len(sizes)}IIq", SNAPSHOT_VERSION, len(sizes), *sizes, internal_dim, time)
 
 
-def save_snapshot(state, path):
-    """Write the fixed little-endian snapshot layout."""
-    body = np.ascontiguousarray(state.amplitudes, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(_snapshot_header(state.lattice.sizes, state.internal_dim, state.time))
-        fh.write(body)
-
-
 class SnapshotStream:
     """The snapshot layout written block by block, so that the lattice is never
     held whole: the header on opening (a pipe fails there: it cannot seek),

@@ -199,17 +199,17 @@ def helicity_vector(variant, k):
     return omega_over_sin(_omega(u))[..., None] * nt
 
 
-def dispersion(variant, k):
-    """Eigenphase branches, group velocity and helicity at wave-vectors k
-    of shape (..., d)."""
+def dispersion(variant, k, scale=1.0):
+    """Eigenphase branches +-arccos(scale u), group velocity and helicity at
+    wave-vectors k of shape (..., d); scale = n gives the Dirac walk's."""
     k = np.asarray(k, dtype=float)
     u, nt, gu, _ = closed_form(variant, k)
-    w = _omega(u)
+    w = _omega(scale * u)
     return DispersionSample(
         k=k,
         omega=np.stack([w, -w], axis=-1),
-        group_velocity=group_velocity(variant, k, u, gu),
-        helicity=omega_over_sin(w)[..., None] * nt,
+        group_velocity=group_velocity(variant, k, u, gu, scale=scale),
+        helicity=(omega_over_sin(w) * scale)[..., None] * nt,
     )
 
 

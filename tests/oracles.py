@@ -1,8 +1,12 @@
-"""Independent oracles that more than one test module compares against."""
+"""Independent oracles that more than one test module compares against, and
+the dense-state runs of the paths that the commands take."""
+
+import contextlib
+from dataclasses import replace
 
 import numpy as np
 
-from qca import dirac, evolution
+from qca import dirac, evolution, serialize
 from qca.pauli import dagger
 
 
@@ -26,6 +30,30 @@ def lattice_moments(state):
         z.append(np.sum(np.sum(weights, axis=other) * np.exp(1j * angles)) / total)
     means = (np.angle(z) % (2.0 * np.pi)) * np.asarray(sizes) / (2.0 * np.pi)
     return evolution.Moments(float(np.sqrt(total)), means, np.abs(z))
+
+
+def spectral_steps(state, descriptor, steps):
+    """A dense state after `steps` steps of the every-mode SpectralPlan."""
+    plan = evolution.SpectralPlan(descriptor, state.lattice.sizes)
+    hat = np.fft.fftn(state.amplitudes, axes=tuple(range(len(plan.modes.sizes))))
+    out = plan.advance(hat.reshape(-1, state.internal_dim), steps)
+    return replace(state, amplitudes=plan.modes.ifftn(out), time=state.time + steps)
+
+
+def save_snapshot(state, path):
+    """Write the fixed little-endian snapshot layout."""
+    body = np.ascontiguousarray(state.amplitudes, dtype="<c16")
+    with open(path, "wb") as fh:
+        fh.write(serialize._snapshot_header(state.lattice.sizes, state.internal_dim, state.time))
+        fh.write(body)
+
+
+def stream_snapshot(state, path):
+    """A dense state's snapshot, written by serialize.SnapshotStream as one
+    block that spans every column."""
+    stream = serialize.SnapshotStream(path, state.lattice.sizes, state.internal_dim, state.time)
+    with contextlib.closing(stream):
+        stream.write(0, state.amplitudes.reshape(state.lattice.sizes[0], -1, state.internal_dim))
 
 
 def residual_and_jacobian_einsum(params_real, ws, adjoint_first):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import errno
 import json
 import os
 import subprocess
@@ -367,15 +368,35 @@ def test_evolve_rejects_snapshot_target_before_stepping(capsys, tmp_path, monkey
 ], ids=["dispersion", "graph", "evolve-output", "evolve-observables"])
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 def test_bad_output_target_names_its_flag(capsys, tmp_path, monkeypatch, argv, flag, target):
-    if argv[0] == "dispersion":  # its --output is opened before the sweep
+    # Each target is opened before the work: the dispersion sweep, the evolve stepping.
+    if argv[0] == "dispersion":
         def sweep(variant, k):
             raise AssertionError("swept before the --output target was checked")
         monkeypatch.setattr(weyl, "dispersion", sweep)
+    elif argv[0] == "evolve":
+        def advance(self, hat, steps):
+            raise AssertionError(f"stepped before the {flag} target was checked")
+        monkeypatch.setattr(evolution.SpectralPlan, "advance", advance)
     path = str(tmp_path if target == "directory" else tmp_path / "no" / "out")
     code, out, err = _run(capsys, argv + [flag, path])
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} {path}: ")
+
+
+def test_evolve_observables_write_error_names_its_flag(capsys, tmp_path, monkeypatch):
+    # --output is opened after --observables, so it sees an error in the
+    # observables' write first; the error must still name --observables.
+    def csv_document(header, table):
+        raise OSError(errno.ENOSPC, "No space left on device")
+        yield
+    monkeypatch.setattr(serialize, "csv_document", csv_document)
+    obs = tmp_path / "obs.csv"
+    code, out, err = _run(capsys, EVOLVE_16 + ["--observables", str(obs),
+                                               "--output", str(tmp_path / "out.json")])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --observables {obs}: No space left on device\n"
 
 
 def test_dispersion_rejects_bad_mass_before_opening_output(capsys, tmp_path):

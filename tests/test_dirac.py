@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import residual_and_jacobian_einsum
+from oracles import residual_and_jacobian_einsum, same_bits
 
 from qca import dirac, weyl
 from qca.errors import BranchPointError, QcaError
@@ -82,13 +82,16 @@ def test_dispersion_formula_matches_eigenphases():
 
 
 def test_dispersion_massless_reduces_to_weyl():
+    # Bit for bit, k = 0 (a band-touching point, where the velocity is a
+    # symmetric difference) included.
     rng = np.random.default_rng(6)
-    dd = dirac.DiracDescriptor(weyl=V3, mass=0.0)
-    for _ in range(20):
-        k = rng.uniform(-2, 2, size=3)
-        assert dirac.dirac_dispersion(dd, k).omega[0] == pytest.approx(
-            weyl.dispersion(V3, k).omega[0], abs=1e-14
-        )
+    for variant in weyl.named_variants().values():
+        dd = dirac.DiracDescriptor(weyl=variant, mass=0.0)
+        d = variant.dimension
+        k = np.vstack([np.zeros(d), rng.uniform(-2, 2, size=(20, d))])
+        got, want = dirac.dirac_dispersion(dd, k), weyl.dispersion(variant, k)
+        for field in ("omega", "group_velocity", "helicity"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
 
 
 def test_dispersion_small_mass_point():

@@ -15,6 +15,8 @@ from qca import serialize
 from qca.cayley import build_presentation
 from qca.evolution import FieldState, LatticeSpec
 
+from oracles import stream_snapshot
+
 NAN_NEGATIVE = math.copysign(math.nan, -1.0)
 # Signed zeros and subnormals, both sides of the "%.17g" switch to exponent
 # notation, the largest double, NaN with either sign bit, and the infinities.
@@ -110,11 +112,11 @@ def test_snapshot_round_trips_bit_for_bit(sizes, s, time, special, seed):
                        parts.view(complex).reshape(sizes + (s,)), time)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.qcas")
-        serialize.save_snapshot(state, path)
+        stream_snapshot(state, path)
         with open(path, "rb") as fh:
             written = fh.read()
         back = serialize.load_snapshot(path, presentation)
-        serialize.save_snapshot(back, path)
+        stream_snapshot(back, path)
         with open(path, "rb") as fh:
             assert fh.read() == written
     assert (back.lattice.sizes, back.internal_dim, back.time) == (sizes, s, time)
