@@ -24,8 +24,6 @@ from .cayley import (
     TilingMap,
     build_presentation,
     make_tiling,
-    reduce_to_zone,
-    word_metric,
 )
 from .catalog import build_descriptor, builtin_names, validate_descriptor
 from .dirac import (

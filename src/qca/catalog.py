@@ -7,14 +7,11 @@ of its wave-vector operator.
 
 from functools import lru_cache
 
-import numpy as np
-
 from . import dirac as dirac_mod
 from . import weyl as weyl_mod
 from .automaton import (
     AutomatonDescriptor,
     IsotropyGroup,
-    TransitionRule,
     check_covariance,
     check_unitarity_conditions,
     extract_transition_matrices,
@@ -102,14 +99,6 @@ def dirac_descriptor(dd):
     )
     name = f"dirac-{dd.weyl.dimension}d(m={dd.mass})"
     return AutomatonDescriptor(presentation=presentation, rule=rule, name=name)
-
-
-def identity_descriptor(presentation, internal_dim=2):
-    rule = TransitionRule(
-        entries={IDENTITY_LABEL: np.eye(internal_dim, dtype=complex)},
-        internal_dim=internal_dim,
-    )
-    return AutomatonDescriptor(presentation=presentation, rule=rule, name="identity")
 
 
 def dirac_variant_for(name, theta=0.0):

@@ -17,8 +17,6 @@ from itertools import product
 
 import numpy as np
 
-from .errors import RadiusExceededError
-
 IDENTITY_LABEL = "e"
 
 _EDGE_TOL = 1e-9
@@ -47,8 +45,9 @@ class BrillouinZone:
     """Convex wave-vector zone cut out by half-spaces k . n <= c.
 
     The boundary convention is half-open: a face whose outward normal has a
-    positive first nonzero component is included, the opposite face is not,
-    which makes zone reduction single-valued on face points.
+    positive first nonzero component is included, the opposite face is not;
+    `contains` decides face points by it.  The zone need not be a primitive
+    cell of the reciprocal lattice: the square_2d zone covers it twice.
     """
 
     kind: str
@@ -74,10 +73,6 @@ class BrillouinZone:
                     return False
         return True
 
-    def bounding_radius(self):
-        """Radius of a coordinate box guaranteed to contain the zone."""
-        return max(c / max(np.max(np.abs(normal)), 1e-300) for normal, c in self.bounds)
-
 
 @dataclass
 class CayleyPresentation:
@@ -101,11 +96,6 @@ class CayleyPresentation:
         """Columns b_j with b_j . h_i = delta_ij; maps group-coordinate
         angles theta to Cartesian wave-vectors k = dual @ theta."""
         return np.linalg.inv(self.basis_matrix.T)
-
-    @cached_property
-    def reciprocal_basis(self):
-        """Columns of 2*pi * dual: the reciprocal lattice basis."""
-        return 2.0 * np.pi * self.dual_matrix
 
     @cached_property
     def coordinates(self):
@@ -185,13 +175,13 @@ def _zone_bcc():
     return BrillouinZone("rhombic_dodecahedron_3d", tuple(bounds))
 
 
-def voronoi_zone(reciprocal_basis, kind="voronoi"):
+def voronoi_zone(basis, kind="voronoi"):
     """Wigner-Seitz cell of the lattice spanned by the given basis columns.
 
     Candidate facet normals are short lattice vectors; a plane k.v = |v|^2/2
     is kept only when its midpoint v/2 is not cut off by another candidate.
     """
-    basis = np.asarray(reciprocal_basis, dtype=float)
+    basis = np.asarray(basis, dtype=float)
     d = basis.shape[0]
     vectors = []
     for coeffs in product(range(-2, 3), repeat=d):
@@ -241,64 +231,6 @@ def build_presentation(kind):
     return pres
 
 
-def word_metric(presentation, a, b, max_radius=32):
-    """Graph distance from a to b (free-basis integer coordinates) by BFS.
-
-    Raises RadiusExceededError once the search passes max_radius without
-    reaching b; the ball volume grows polynomially, so keep the radius sane.
-    """
-    a = tuple(int(v) for v in a)
-    b = tuple(int(v) for v in b)
-    if a == b:
-        return 0
-    steps = [np.asarray(presentation.coordinates[lab]) for lab in presentation.signed_labels()]
-    visited = {a}
-    frontier = [np.asarray(a)]
-    dist = 0
-    while frontier:
-        dist += 1
-        if dist > max_radius:
-            raise RadiusExceededError(
-                f"no word of length <= {max_radius} connects {a} to {b}"
-            )
-        next_frontier = []
-        for point in frontier:
-            for step in steps:
-                nxt = tuple(int(v) for v in point + step)
-                if nxt == b:
-                    return dist
-                if nxt not in visited:
-                    visited.add(nxt)
-                    next_frontier.append(np.asarray(nxt))
-        frontier = next_frontier
-    raise RadiusExceededError(f"graph disconnected between {a} and {b}")
-
-
-def reduce_to_zone(presentation, k):
-    """Translate k by reciprocal-lattice vectors into the zone (idempotent).
-
-    Points already inside (per the half-open boundary rule) come back
-    unchanged; otherwise the nearest-cell translate is searched over a small
-    deterministic shell of lattice offsets.
-    """
-    k = np.asarray(k, dtype=float)
-    zone = presentation.bz
-    if zone.contains(k):
-        return k.copy()
-    recip = presentation.reciprocal_basis
-    base = np.rint(np.linalg.solve(recip, k))
-    d = presentation.dimension
-    offsets = sorted(
-        product(range(-2, 3), repeat=d),
-        key=lambda o: (sum(x * x for x in o), o),
-    )
-    for off in offsets:
-        candidate = k - recip @ (base + np.asarray(off, dtype=float))
-        if zone.contains(candidate):
-            return candidate
-    raise RuntimeError(f"zone reduction failed for k = {k}")  # pragma: no cover
-
-
 @dataclass(frozen=True)
 class TilingMap:
     """Regrouping of a lattice onto a finite-index sublattice.
@@ -312,15 +244,11 @@ class TilingMap:
     subgroup_basis: tuple
     coset_reps: tuple
     index: int
+    _adj_det: tuple = field(compare=False, repr=False)  # (adj(M), det(M)) from make_tiling
 
     @property
     def basis_matrix(self):
         return np.array(self.subgroup_basis, dtype=int).T  # columns
-
-    @cached_property
-    def _adj_det(self):
-        """(adj(M), det(M)), computed once per tiling (make_tiling fills it in)."""
-        return _adjugate(self.basis_matrix)
 
     @cached_property
     def _coset_of_key(self):
@@ -408,9 +336,8 @@ def make_tiling(presentation, subgroup_basis):
         if len(seen) == r:
             break
     reps = tuple(sorted(seen.values()))
-    tiling = TilingMap(parent=presentation, subgroup_basis=vectors, coset_reps=reps, index=r)
-    tiling.__dict__["_adj_det"] = (adj, det)  # the cached property's value, already computed
-    return tiling
+    return TilingMap(parent=presentation, subgroup_basis=vectors, coset_reps=reps, index=r,
+                     _adj_det=(adj, det))
 
 
 def _adjugate(m):

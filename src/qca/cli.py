@@ -134,6 +134,9 @@ def _cmd_dispersion(args):
 
 # --------------------------------------------------------------- evolve
 
+_PACKET_KEYS = ("k0", "sigma", "x0", "branch")
+
+
 def _parse_packet(text, dimension):
     # Fields separated by ';' or by ',' when the comma precedes a new key,
     # so both "k0=0.2,0,0;sigma=0.05" and "k0=0.2,0,0,sigma=0.05" parse.
@@ -145,12 +148,24 @@ def _parse_packet(text, dimension):
             continue
         key, _, value = chunk.partition("=")
         fields[key.strip()] = value.strip()
+    unknown = set(fields) - set(_PACKET_KEYS)
+    if unknown:
+        raise QcaError(f"packet spec has unknown keys {sorted(unknown)}; "
+                       f"known keys: {', '.join(_PACKET_KEYS)}")
     missing = {"k0", "sigma"} - set(fields)
     if missing:
         raise QcaError(f"packet spec missing {sorted(missing)}")
-    k0 = _parse_vector(fields["k0"], dimension)
-    sigma = float(fields["sigma"])
-    x0 = tuple(int(v) for v in fields.get("x0", ",".join(["0"] * dimension)).split(","))
+    fields.setdefault("x0", ",".join(["0"] * dimension))
+
+    def parsed(key, convert):
+        try:
+            return convert(fields[key])
+        except (ValueError, QcaError) as exc:
+            raise QcaError(f"packet {key}: {exc}") from None
+
+    k0 = parsed("k0", lambda value: _parse_vector(value, dimension))
+    sigma = parsed("sigma", float)
+    x0 = parsed("x0", lambda value: tuple(int(v) for v in value.split(",")))
     if len(x0) != dimension:
         raise QcaError(f"packet x0 needs {dimension} components, got {len(x0)}")
     branch = fields.get("branch", "plus")

@@ -5,10 +5,6 @@ class QcaError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
-class RadiusExceededError(QcaError):
-    """Word-metric search exhausted its radius without reaching the target."""
-
-
 class SupportMismatchError(QcaError):
     """A closed-form operator is not supported on the stated neighborhood."""
 

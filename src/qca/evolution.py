@@ -62,9 +62,6 @@ class FieldState:
                 f"amplitude shape {self.amplitudes.shape} != expected {expected}"
             )
 
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def random_state(lattice, internal_dim, rng):
     shape = tuple(lattice.sizes) + (internal_dim,)

@@ -83,10 +83,6 @@ class FockOracle:
         u1, u2 = maxwell.polarization_basis(_POLARIZATION_K, maxwell._DEFAULT_VARIANT)
         self.contractions = (pauli_dot(u1), pauli_dot(u2))
 
-    @property
-    def n_modes(self):
-        return 4 * self.n_pair_modes
-
     def phi_mode(self, q, a):
         return 4 * q + a
 

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 
 from qca import dirac, evolution, serialize
+from qca.automaton import AutomatonDescriptor, TransitionRule
+from qca.cayley import IDENTITY_LABEL
 from qca.pauli import dagger
 
 
@@ -14,6 +16,15 @@ def same_bits(got, want):
     """Equal dtype, shape and bytes: -0.0 differs from 0.0, and a NaN equals itself."""
     got, want = np.asarray(got), np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def identity_descriptor(presentation, internal_dim=2):
+    """The rule that leaves every state unchanged: a fixed point for the steppers."""
+    rule = TransitionRule(
+        entries={IDENTITY_LABEL: np.eye(internal_dim, dtype=complex)},
+        internal_dim=internal_dim,
+    )
+    return AutomatonDescriptor(presentation=presentation, rule=rule, name="identity")
 
 
 def lattice_moments(state):

@@ -45,7 +45,7 @@ def _report(number, label, passed, detail):
 def _sample_zone(presentation, count, seed):
     """Uniform zone samples by vectorized rejection from the bounding box."""
     rng = np.random.default_rng(seed)
-    radius = presentation.bz.bounding_radius()
+    radius = max(c / np.max(np.abs(normal)) for normal, c in presentation.bz.bounds)
     normals = np.array([n for n, _ in presentation.bz.bounds])
     cs = np.array([c for _, c in presentation.bz.bounds])
     out = []

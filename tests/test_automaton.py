@@ -20,6 +20,8 @@ from qca.cayley import build_presentation
 from qca.errors import SupportMismatchError
 from qca.pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, maxabs
 
+from oracles import identity_descriptor
+
 
 def _at_k(descriptor, k):
     """A(k) at Cartesian wave-vectors k of shape (..., d)."""
@@ -68,7 +70,7 @@ def test_unitarity_conditions_weyl_rules():
 
 def test_unitarity_identity_rule():
     p = build_presentation("line")
-    d = catalog.identity_descriptor(p)
+    d = identity_descriptor(p)
     report = check_unitarity_conditions(d.rule, d.presentation)
     assert report["max_residual"] == 0.0
 

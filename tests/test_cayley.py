@@ -1,4 +1,4 @@
-"""Presentations, zones, word metric and tiling."""
+"""Presentations, zones and tiling."""
 
 import itertools
 
@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qca.cayley import (
-    build_presentation,
-    make_tiling,
-    reduce_to_zone,
-    word_metric,
-)
-from qca.errors import RadiusExceededError
+from qca.cayley import build_presentation, make_tiling
 
 
 def test_line_presentation():
@@ -75,56 +69,18 @@ def test_zone_volume_2d_square_is_doubled():
     assert abs(side * side - 2.0 * cell) < 1e-9
 
 
-@pytest.mark.parametrize("kind", ["line", "square_2d", "bcc_3d"])
-def test_reduce_to_zone_idempotent_and_valid(kind):
-    p = build_presentation(kind)
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        k = rng.uniform(-20.0, 20.0, size=p.dimension)
-        reduced = reduce_to_zone(p, k)
-        assert p.bz.contains(reduced)
-        again = reduce_to_zone(p, reduced)
-        assert np.max(np.abs(again - reduced)) == 0.0
-        # the translate is a reciprocal-lattice vector
-        coeff = np.linalg.solve(p.reciprocal_basis, k - reduced)
-        assert np.max(np.abs(coeff - np.rint(coeff))) < 1e-9
-
-
 @given(st.sampled_from(["line", "square_2d", "bcc_3d"]), st.integers(0, 11),
        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
-def test_reduce_to_zone_keeps_face_points_on_the_half_open_side(kind, face, tangent):
-    # A point inside a face of the zone.  A face whose outward normal has a
-    # positive first nonzero component is in the zone and keeps the point;
-    # from any other face the point moves by a reciprocal-lattice vector to
-    # a point of the zone, which lies on no excluded face.
+def test_zone_contains_face_points_on_the_half_open_side(kind, face, tangent):
+    # A point inside a face of the zone is in the zone exactly when the
+    # face's outward normal has a positive first nonzero component.
     p = build_presentation(kind)
     normal, c = p.bz.bounds[face % len(p.bz.bounds)]
     n = np.asarray(normal, dtype=float)
     t = np.asarray(tangent[:p.dimension])
     t -= (t @ n) / (n @ n) * n
     k = c * n / (n @ n) + 0.1 * c / np.linalg.norm(n) * t
-    reduced = reduce_to_zone(p, k)
-    if next(v for v in normal if v != 0) > 0:
-        assert np.array_equal(reduced, k)
-    else:
-        assert not p.bz.contains(k)
-        coeff = np.linalg.solve(p.reciprocal_basis, k - reduced)
-        assert np.max(np.abs(coeff - np.rint(coeff))) < 1e-9
-    for m, e in p.bz.bounds:
-        if next(v for v in m if v != 0) < 0:
-            assert reduced @ np.asarray(m) < e - 1e-9
-    assert np.array_equal(reduce_to_zone(p, reduced), reduced)
-
-
-def test_reduce_line_boundary_keeps_positive_face():
-    p = build_presentation("line")
-    assert reduce_to_zone(p, [3.0 * np.pi])[0] == pytest.approx(np.pi, abs=1e-12)
-
-
-def test_reduce_interior_unchanged():
-    p = build_presentation("bcc_3d")
-    k = np.array([0.3, -0.2, 0.9])
-    assert np.array_equal(reduce_to_zone(p, k), k)
+    assert p.bz.contains(k) == (next(v for v in normal if v != 0) > 0)
 
 
 def test_zone_contains_origin_strictly():
@@ -133,60 +89,6 @@ def test_zone_contains_origin_strictly():
         assert p.bz.contains(np.zeros(p.dimension))
         for normal, c in p.bz.bounds:
             assert c > 0.1
-
-
-def _word_oracle(presentation, target, max_len):
-    """Exhaustive enumeration over all generator sequences up to max_len."""
-    steps = [np.asarray(presentation.coordinates[lab])
-             for lab in presentation.signed_labels()]
-    target = np.asarray(target)
-    if not target.any():
-        return 0
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(steps, repeat=length):
-            if np.array_equal(sum(combo), target):
-                return length
-    raise AssertionError("oracle exhausted")
-
-
-def test_word_metric_trivial_cases():
-    p = build_presentation("bcc_3d")
-    assert word_metric(p, (0, 0, 0), (0, 0, 0)) == 0
-    assert word_metric(p, (1, 2, 3), (1, 2, 3)) == 0
-    assert word_metric(p, (0, 0, 0), (1, 0, 0)) == 1
-    assert word_metric(p, (0, 0, 0), (-1, -1, -1)) == 1  # h4
-
-
-def test_word_metric_against_enumeration_oracle():
-    p = build_presentation("bcc_3d")
-    assert word_metric(p, (0, 0, 0), (2, 0, 0)) == _word_oracle(p, (2, 0, 0), 4)
-    rng = np.random.default_rng(5)
-    steps = [np.asarray(p.coordinates[lab]) for lab in p.signed_labels()]
-    for _ in range(6):
-        # Compose a short random word so the target is reachable within 4.
-        length = int(rng.integers(1, 5))
-        target = sum(steps[rng.integers(len(steps))] for _ in range(length))
-        expected = _word_oracle(p, target, 4)
-        assert word_metric(p, (0, 0, 0), tuple(int(v) for v in target)) == expected
-
-
-def test_word_metric_is_a_metric():
-    p = build_presentation("square_2d")
-    rng = np.random.default_rng(6)
-    points = [tuple(rng.integers(-3, 4, size=2)) for _ in range(6)]
-    for a, b, c in itertools.combinations(points, 3):
-        dab = word_metric(p, a, b)
-        dba = word_metric(p, b, a)
-        assert dab == dba
-        assert dab + word_metric(p, b, c) >= word_metric(p, a, c)
-    for a, b in itertools.combinations(points, 2):
-        assert (word_metric(p, a, b) == 0) == (a == b)
-
-
-def test_word_metric_radius_error():
-    p = build_presentation("line")
-    with pytest.raises(RadiusExceededError):
-        word_metric(p, (0,), (100,), max_radius=5)
 
 
 def test_tiling_identity_basis():

@@ -312,6 +312,11 @@ def test_evolve_rejects_non_positive_steps(capsys):
 @pytest.mark.parametrize("packet, message", [
     ("k0=0.2,0,0;sigma=0.1;x0=1,2", "x0"),
     ("k0=0.2,0,0;sigma=0.1;x0=1,2,3,4", "x0"),
+    # A mistyped key is not dropped, and a bad number names its field.
+    ("k0=0.2,0,0;sigma=0.1;brnach=minus", "brnach"),
+    ("k0=0.2,0,0;sigma=0.1;x0=1.5,2,3", "x0"),
+    ("k0=0.2,0,0;sigma=abc", "sigma"),
+    ("k0=0.2,0;sigma=0.1", "k0"),
     ("k0=0.2,0,0;sigma=nan", "sigma_k"),
     ("k0=0.2,0,0;sigma=inf", "sigma_k"),
     ("k0=0.2,0,0;sigma=-0.1", "sigma_k"),

@@ -129,9 +129,8 @@ def test_velocity_continuous_across_zone_face():
     p = build_presentation("bcc_3d")
     c = np.sqrt(3.0) * np.pi
     k_face = np.array([c / 2.0, c / 2.0, 0.17])  # on the face kx + ky = c
-    b = p.reciprocal_basis @ np.array([1.0, 1.0, 0.0]) / 2.0  # need lattice vec
     # nearest reciprocal vector normal to that face:
-    recip = p.reciprocal_basis
+    recip = 2.0 * np.pi * p.dual_matrix
     best = None
     for coeffs in np.ndindex(3, 3, 3):
         vec = recip @ (np.array(coeffs) - 1)
