@@ -52,15 +52,24 @@ def _load_descriptor(args):
     return catalog.build_descriptor(args.builtin, mass=args.mass, theta=args.theta)
 
 
-def _parse_vector(text, dimension=None):
+def _parsed(name, text, convert):
+    """convert(text); a ValueError or QcaError it raises becomes a QcaError
+    that names `name`."""
+    try:
+        return convert(text)
+    except (ValueError, QcaError) as exc:
+        raise QcaError(f"{name}: {exc}") from None
+
+
+def _parse_vector(text, dimension):
     parts = [float(v) for v in text.split(",") if v != ""]
-    if dimension is not None and len(parts) != dimension:
+    if len(parts) != dimension:
         raise QcaError(f"expected {dimension} components, got {len(parts)}")
     return np.array(parts)
 
 
-def _parse_sizes(text):
-    return tuple(int(v) for v in text.split(",") if v != "")
+def _parse_lattice(text, presentation):
+    return evolution.LatticeSpec(presentation, tuple(int(v) for v in text.split(",") if v != ""))
 
 
 def _parse_int_matrix(text):
@@ -156,16 +165,9 @@ def _parse_packet(text, dimension):
     if missing:
         raise QcaError(f"packet spec missing {sorted(missing)}")
     fields.setdefault("x0", ",".join(["0"] * dimension))
-
-    def parsed(key, convert):
-        try:
-            return convert(fields[key])
-        except (ValueError, QcaError) as exc:
-            raise QcaError(f"packet {key}: {exc}") from None
-
-    k0 = parsed("k0", lambda value: _parse_vector(value, dimension))
-    sigma = parsed("sigma", float)
-    x0 = parsed("x0", lambda value: tuple(int(v) for v in value.split(",")))
+    k0 = _parsed("packet k0", fields["k0"], lambda value: _parse_vector(value, dimension))
+    sigma = _parsed("packet sigma", fields["sigma"], float)
+    x0 = _parsed("packet x0", fields["x0"], lambda value: tuple(int(v) for v in value.split(",")))
     if len(x0) != dimension:
         raise QcaError(f"packet x0 needs {dimension} components, got {len(x0)}")
     branch = fields.get("branch", "plus")
@@ -176,8 +178,8 @@ def _parse_packet(text, dimension):
 
 def _cmd_evolve(args):
     descriptor = _load_descriptor(args)
-    sizes = _parse_sizes(args.sizes)
-    lattice = evolution.LatticeSpec(presentation=descriptor.presentation, sizes=sizes)
+    lattice = _parsed("--sizes", args.sizes,
+                      lambda text: _parse_lattice(text, descriptor.presentation))
     spec = _parse_packet(args.packet, descriptor.presentation.dimension)
     if args.steps <= 0:
         raise QcaError("--steps must be positive")
@@ -190,28 +192,32 @@ def _cmd_evolve(args):
     stride = args.record_every or max(1, args.steps // 50)
     rows = []
     recorded = 0
-    # Means lie in [0, n); each record takes the image within n/2 of the
-    # previous one (the first, of x0), so the trajectory does not jump by n.
-    period = np.asarray(sizes, dtype=float)
-    position = np.asarray(spec.center_x, dtype=float)
+    period = np.asarray(lattice.sizes, dtype=float)
+
+    def unwrapped(moments, near):
+        # Means lie in [0, n); their image within n/2 of `near` does not jump by n.
+        return moments.means - period * np.round((moments.means - near) / period)
+
     # Every target is opened (an existing file truncated) before any stepping,
     # so one that cannot take its output costs no work, and closed on every
     # exit, an interrupted stepping loop included.
     with contextlib.ExitStack() as files:
         with _naming_errors("--snapshot", args.snapshot):
             stream = args.snapshot and files.enter_context(contextlib.closing(
-                serialize.SnapshotStream(args.snapshot, sizes, hat.shape[-1], args.steps)))
+                serialize.SnapshotStream(args.snapshot, lattice.sizes, hat.shape[-1], args.steps)))
         observables = args.observables and files.enter_context(
             _opened(args.observables, "--observables"))
         output = files.enter_context(_opened(args.output))
 
+        # The start is taken near x0, each record near the one before.
         start = evolution.mode_moments(hat, plan.modes)
+        origin = position = unwrapped(start, np.asarray(spec.center_x, dtype=float))
         while recorded < args.steps:
             advance = min(stride, args.steps - recorded)
             hat = plan.advance(hat, advance)
             recorded += advance
             moments = evolution.mode_moments(hat, plan.modes)
-            position = moments.means - period * np.round((moments.means - position) / period)
+            position = unwrapped(moments, position)
             rows.append([recorded, moments.norm] + [float(v) for v in basis @ position])
         if stream:
             with _naming_errors("--snapshot", args.snapshot):
@@ -232,8 +238,11 @@ def _cmd_evolve(args):
                        "x0": list(spec.center_x), "branch": spec.branch},
         }
         try:
-            velocity = evolution.packet_velocity(start, moments, lattice, args.steps)
-            summary["velocity"] = [float(v) for v in velocity]
+            evolution.check_seam(start, lattice.sizes)
+            evolution.check_seam(moments, lattice.sizes)
+            # The slope of the unwrapped trajectory: exact unless one record
+            # stride moves the packet by more than half a period.
+            summary["velocity"] = [float(v) for v in basis @ ((position - origin) / args.steps)]
         except PacketBoundaryError as exc:
             # The run itself is valid; only the velocity readout is not.
             summary["velocity"] = None
@@ -247,7 +256,7 @@ def _cmd_evolve(args):
 def _cmd_maxwell(args):
     if not (np.isfinite(args.dt) and args.dt > 0):
         raise QcaError("--dt must be positive and finite")
-    k = _parse_vector(args.k, 3)
+    k = _parsed("--k", args.k, lambda text: _parse_vector(text, 3))
     for flag, values in (("--time", args.time), ("--k", k)):
         if not np.all(np.isfinite(values)):
             raise QcaError(f"{flag} must be finite")
@@ -300,8 +309,8 @@ def _cmd_fock(args):
 
 def _cmd_tile(args):
     descriptor = _load_descriptor(args)
-    basis = _parse_int_matrix(args.basis)
-    tiling = make_tiling(descriptor.presentation, basis)
+    tiling = _parsed("--basis", args.basis, lambda text: make_tiling(
+        descriptor.presentation, _parse_int_matrix(text)))
     coarse = evolution.tile_descriptor(descriptor, tiling)
 
     payload = {
@@ -310,10 +319,8 @@ def _cmd_tile(args):
         "coarse_internal_dim": coarse.internal_dim,
     }
     if args.sizes:
-        sizes = _parse_sizes(args.sizes)
-        lattice = evolution.LatticeSpec(
-            presentation=descriptor.presentation, sizes=sizes
-        )
+        lattice = _parsed("--sizes", args.sizes,
+                          lambda text: _parse_lattice(text, descriptor.presentation))
         rng = np.random.default_rng(args.seed)
         state = evolution.random_state(lattice, descriptor.internal_dim, rng)
         fine = evolution.apply_tiling(evolution.step_direct(state, descriptor), tiling)

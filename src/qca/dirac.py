@@ -81,12 +81,7 @@ def gamma_form(dd, k):
 
 def dirac_dispersion(dd, k):
     """Doubly degenerate eigenphase branches +-arccos(n u(k)) at wave-vectors
-    k of shape (..., d): the chiral dispersion at scale n.
-
-    The helicity field reports the coefficient vector of the spatial
-    rotation generator in the interpolating Hamiltonian, f(k) n ntilde(k);
-    it reduces to the chiral helicity vector at m = 0.
-    """
+    k of shape (..., d): the chiral dispersion at scale n."""
     return weyl.dispersion(dd.weyl, k, scale=dd.n)
 
 

@@ -415,7 +415,9 @@ def mode_moments(hat, modes):
     return Moments(float(np.sqrt(total)), means, np.abs(z))
 
 
-def _seam_checked_means(moments, sizes):
+def check_seam(moments, sizes):
+    """Raise PacketBoundaryError if the packet's mass lies within three circular
+    standard deviations of the wrap seam, where its mean is not defined."""
     for j, resultant in enumerate(moments.resultants):
         r = min(max(resultant, 1e-300), 1.0)
         circ_std = np.sqrt(max(-2.0 * np.log(r), 0.0)) * sizes[j] / (2.0 * np.pi)
@@ -424,18 +426,6 @@ def _seam_checked_means(moments, sizes):
             raise PacketBoundaryError(
                 f"packet mass within 3 sigma of the wrap seam on axis {j}"
             )
-    return moments.means
-
-
-def packet_velocity(before, after, lattice, steps):
-    """Cartesian displacement per step of the circular mean between two Moments."""
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    m0 = _seam_checked_means(before, lattice.sizes)
-    m1 = _seam_checked_means(after, lattice.sizes)
-    sizes = np.asarray(lattice.sizes, dtype=float)
-    delta = np.mod(m1 - m0 + sizes / 2.0, sizes) - sizes / 2.0
-    return lattice.presentation.basis_matrix @ (delta / steps)
 
 
 def tile_descriptor(descriptor, tiling):

@@ -37,9 +37,9 @@ def helicity_half(k, variant=_DEFAULT_VARIANT):
     return weyl.helicity_vector(variant, k / 2.0)
 
 
-def transverse_project(g_vec, k, variant=_DEFAULT_VARIANT):
-    """Component of G orthogonal to n_{k/2}; raises at k = 0."""
-    n = helicity_half(k, variant)
+def transverse_project(g_vec, n):
+    """Component of G orthogonal to the helicity axis n; raises at n = 0."""
+    n = np.asarray(n, dtype=float)
     norm = float(np.linalg.norm(n))
     if norm < 1e-12:
         raise ValueError("helicity direction undefined at k = 0")
@@ -48,35 +48,24 @@ def transverse_project(g_vec, k, variant=_DEFAULT_VARIANT):
     return g_vec - (unit @ g_vec) * unit
 
 
-def evolve_pair(psi_amp, phi_amp, n, t):
-    """Continuous-time interpolation: psi by exp(-i sigma.n t), phi conjugate."""
+def transverse_bilinear(psi_amp, phi_amp, n, t):
+    """G_T(t) recomputed from the spinors in continuous time about the helicity
+    axis n: psi by exp(-i sigma.n t), phi by its conjugate."""
     u = su2_exp(np.asarray(n, dtype=float) * t)
     psi_t = u @ np.asarray(psi_amp, dtype=complex)
     phi_t = np.conj(u @ np.conj(np.asarray(phi_amp, dtype=complex)))
-    return psi_t, phi_t
+    return transverse_project(bilinear_G(psi_t, phi_t), n)
 
 
-def transverse_bilinear(psi_amp, phi_amp, k, t, variant=_DEFAULT_VARIANT):
-    """G_T(k, t) recomputed from the evolved spinors."""
-    n = helicity_half(k, variant)
-    psi_t, phi_t = evolve_pair(psi_amp, phi_amp, n, t)
-    return transverse_project(bilinear_G(psi_t, phi_t), k, variant)
+def rotation_form(psi_amp, phi_amp, n, t):
+    """G_T(t) predicted by rigid rotation of G_T(0) at Omega = 2 n."""
+    g0 = transverse_bilinear(psi_amp, phi_amp, n, 0.0)
+    return rotation_about(2.0 * np.asarray(n, dtype=float) * t) @ g0
 
 
-def precession_vector(k, variant=_DEFAULT_VARIANT):
-    """Angular-velocity vector of G_T: Omega = 2 n_{k/2}."""
-    return 2.0 * helicity_half(k, variant)
-
-
-def rotation_form(psi_amp, phi_amp, k, t, variant=_DEFAULT_VARIANT):
-    """G_T(k, t) predicted by rigid rotation of G_T(k, 0)."""
-    g0 = transverse_bilinear(psi_amp, phi_amp, k, 0.0, variant)
-    return rotation_about(precession_vector(k, variant) * t) @ g0
-
-
-def electric_magnetic(g_t, k, variant=_DEFAULT_VARIANT):
+def electric_magnetic(g_t, n):
     """E = |n|(G_T + conj G_T), B = i |n| (conj G_T - G_T)."""
-    scale = float(np.linalg.norm(helicity_half(k, variant)))
+    scale = float(np.linalg.norm(n))
     e_field = scale * (g_t + np.conj(g_t))
     b_field = 1j * scale * (np.conj(g_t) - g_t)
     return e_field, b_field
@@ -90,25 +79,24 @@ def mode_maxwell_residual(psi_amp, phi_amp, k, dt, times=(0.0, 1.0, 2.5),
     four transverse-field equations; the rigid-rotation form is compared
     against spinor recomputation on a grid up to t_max.
     """
-    k = np.asarray(k, dtype=float)
-    omega_vec = precession_vector(k, variant)
+    n = helicity_half(k, variant)
+    omega_vec = 2.0 * n
 
     def g_t(t):
-        return transverse_bilinear(psi_amp, phi_amp, k, t, variant)
+        return transverse_bilinear(psi_amp, phi_amp, n, t)
 
-    rot_res = maxabs([rotation_form(psi_amp, phi_amp, k, t, variant) - g_t(t)
+    rot_res = maxabs([rotation_form(psi_amp, phi_amp, n, t) - g_t(t)
                       for t in np.linspace(0.0, t_max, 9)])
 
     # Residuals are stacked and reduced by maxabs, which keeps a NaN that
     # max(acc, nan) would drop.
     fd, he, hb, de, db = [], [], [], [], []
-    n = helicity_half(k, variant)
     for t in times:
         plus, mid, minus = g_t(t + dt), g_t(t), g_t(t - dt)
         fd.append((plus - minus) / (2.0 * dt) - np.cross(omega_vec, mid))
-        e_mid, b_mid = electric_magnetic(mid, k, variant)
-        e_deriv = (np.stack(electric_magnetic(plus, k, variant))
-                   - np.stack(electric_magnetic(minus, k, variant))) / (2.0 * dt)
+        e_mid, b_mid = electric_magnetic(mid, n)
+        e_deriv = (np.stack(electric_magnetic(plus, n))
+                   - np.stack(electric_magnetic(minus, n))) / (2.0 * dt)
         he.append(2.0 * n @ e_mid)
         hb.append(2.0 * n @ b_mid)
         de.append(e_deriv[0] - np.cross(omega_vec, e_mid))

@@ -70,15 +70,11 @@ class DispersionSample:
     """Dispersion data at wave-vectors k of shape (..., d).
 
     omega (..., 2) holds the two eigenphase branches (+arccos u, -arccos u);
-    group_velocity (..., d) is the gradient of the positive branch; helicity
-    (..., 3) is the rotation-axis vector n with |n| = omega and
-    exp(-i sigma.n) = W(k).
+    group_velocity (..., d) is the gradient of the positive branch.
     """
 
-    k: np.ndarray
     omega: np.ndarray
     group_velocity: np.ndarray
-    helicity: np.ndarray
 
 
 def _vectors(*parts):
@@ -200,16 +196,14 @@ def helicity_vector(variant, k):
 
 
 def dispersion(variant, k, scale=1.0):
-    """Eigenphase branches +-arccos(scale u), group velocity and helicity at
-    wave-vectors k of shape (..., d); scale = n gives the Dirac walk's."""
+    """Eigenphase branches +-arccos(scale u) and group velocity at wave-vectors
+    k of shape (..., d); scale = n gives the Dirac walk's."""
     k = np.asarray(k, dtype=float)
-    u, nt, gu, _ = closed_form(variant, k)
+    u, _, gu, _ = closed_form(variant, k)
     w = _omega(scale * u)
     return DispersionSample(
-        k=k,
         omega=np.stack([w, -w], axis=-1),
         group_velocity=group_velocity(variant, k, u, gu, scale=scale),
-        helicity=(omega_over_sin(w) * scale)[..., None] * nt,
     )
 
 

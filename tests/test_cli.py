@@ -299,6 +299,24 @@ def test_evolve_observables_do_not_jump_by_a_lattice_vector(capsys, tmp_path):
     assert np.all(jumps < 2.0), jumps.max()
 
 
+@pytest.mark.parametrize("stride", [[], ["--record-every", "1"], ["--record-every", "10"]],
+                         ids=["default", "every-step", "every-10"])
+def test_evolve_velocity_is_the_slope_of_the_unwrapped_trajectory(capsys, tmp_path, stride):
+    # At unit speed the packet crosses 50 of 64 sites: the minimum image of
+    # its end-to-end displacement is -14 sites, a velocity of -0.28.
+    obs = tmp_path / "obs.csv"
+    code, out, _ = _run(
+        capsys,
+        ["evolve", "--builtin", "weyl-1d", "--sizes", "64", "--steps", "50",
+         "--packet", "k0=0.5;sigma=0.1;x0=0", "--observables", str(obs)] + stride,
+    )
+    assert code == 0
+    velocity = json.loads(out)["velocity"]
+    assert abs(velocity[0] - 1.0) < 0.01
+    end = np.loadtxt(obs, delimiter=",", skiprows=1)[-1]
+    assert velocity[0] == pytest.approx(end[2] / 50, abs=1e-12)
+
+
 def test_evolve_rejects_non_positive_steps(capsys):
     code, _, err = _run(
         capsys,
@@ -575,6 +593,29 @@ def test_maxwell_rejects_bad_dt(capsys, dt):
     assert code == 2
     assert out == ""
     assert "--dt" in err
+
+
+EVOLVE_3D = ["evolve", "--builtin", "bcc-a-plus", "--steps", "1", "--packet", "k0=0.2,0,0;sigma=0.2"]
+TILE_3D = ["tile", "--builtin", "bcc-a-plus"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["maxwell", "--k", "0.6,0.2"], "--k"),
+    (["maxwell", "--k", "0.6,x,0.2"], "--k"),
+    (EVOLVE_3D + ["--sizes", "8,a,8"], "--sizes"),
+    (EVOLVE_3D + ["--sizes", "8,8"], "--sizes"),
+    (EVOLVE_3D + ["--sizes", "8,1,8"], "--sizes"),
+    (TILE_3D + ["--basis", "2,0,0;0,x,0;0,0,2"], "--basis"),
+    (TILE_3D + ["--basis", "2,0;0,2"], "--basis"),
+    (TILE_3D + ["--basis", "2,0,0;0,2,0;2,2,0"], "--basis"),
+    (TILE_3D + ["--basis", "2,0,0;0,2,0;0,0,2", "--sizes", "4,a,4"], "--sizes"),
+    (TILE_3D + ["--basis", "2,0,0;0,2,0;0,0,2", "--sizes", "4,4"], "--sizes"),
+])
+def test_flag_parse_errors_name_their_flag(capsys, argv, flag):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: "), err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -90,7 +90,7 @@ def test_dispersion_massless_reduces_to_weyl():
         d = variant.dimension
         k = np.vstack([np.zeros(d), rng.uniform(-2, 2, size=(20, d))])
         got, want = dirac.dirac_dispersion(dd, k), weyl.dispersion(variant, k)
-        for field in ("omega", "group_velocity", "helicity"):
+        for field in ("omega", "group_velocity"):
             assert same_bits(getattr(got, field), getattr(want, field)), field
 
 

@@ -9,7 +9,8 @@ from qca.cayley import build_presentation, make_tiling
 from qca.errors import PacketBoundaryError, ZoneLeakError
 from qca.pauli import maxabs, principal_phase
 
-from oracles import identity_descriptor, lattice_moments, spectral_steps, stream_snapshot
+from oracles import (identity_descriptor, lattice_moments, packet_velocity, spectral_steps,
+                     stream_snapshot)
 
 
 def _rand_state(descriptor, sizes, seed=0):
@@ -164,8 +165,7 @@ def test_packet_velocity_weyl1d_unit_speed():
     spec = evolution.WavePacketSpec((0.9,), 0.05, (128,), "plus")
     state = evolution.make_packet(spec, d, lattice)
     after = spectral_steps(state, d, 50)
-    velocity = evolution.packet_velocity(
-        lattice_moments(state), lattice_moments(after), lattice, 50)
+    velocity = packet_velocity(state, after, 50)
     assert abs(velocity[0] - 1.0) < 0.01
 
 
@@ -180,8 +180,7 @@ def test_packet_velocity_at_stationary_point():
     spec = evolution.WavePacketSpec(tuple(k0), 0.08, (32, 32), "plus")
     state = evolution.make_packet(spec, d, lattice)
     after = spectral_steps(state, d, 12)
-    velocity = evolution.packet_velocity(
-        lattice_moments(state), lattice_moments(after), lattice, 12)
+    velocity = packet_velocity(state, after, 12)
     assert np.linalg.norm(velocity) < 1e-3
 
 
@@ -191,17 +190,15 @@ def test_packet_boundary_error():
     spec = evolution.WavePacketSpec((0.7,), 0.03, (16,), "plus")
     # sigma_k = 0.03 gives a real-space width comparable to the lattice
     state = evolution.make_packet(spec, d, lattice)
-    moments = lattice_moments(state)
     with pytest.raises(PacketBoundaryError):
-        evolution.packet_velocity(moments, moments, lattice, 1)
+        evolution.check_seam(lattice_moments(state), lattice.sizes)
 
 
 def test_packet_boundary_error_on_nan_resultant():
     # A NaN resultant gives a NaN width, which the seam check must not pass.
-    lattice = evolution.LatticeSpec(presentation=build_presentation("line"), sizes=(32,))
     moments = evolution.Moments(1.0, np.array([16.0]), np.array([np.nan]))
     with pytest.raises(PacketBoundaryError):
-        evolution.packet_velocity(moments, moments, lattice, 1)
+        evolution.check_seam(moments, (32,))
 
 
 def test_plane_wave_interpolation_consistency():

@@ -44,19 +44,19 @@ def test_transverse_projection_cases():
     k = np.array([0.4, 0.1, -0.2])
     n = maxwell.helicity_half(k)
     unit = n / np.linalg.norm(n)
-    assert maxabs(maxwell.transverse_project(3.3 * unit, k)) < 1e-14
+    assert maxabs(maxwell.transverse_project(3.3 * unit, n)) < 1e-14
     rng = np.random.default_rng(1)
     perp = np.cross(unit, rng.normal(size=3))
-    assert maxabs(maxwell.transverse_project(perp, k) - perp) < 1e-13
+    assert maxabs(maxwell.transverse_project(perp, n) - perp) < 1e-13
     g = rng.normal(size=3) + 1j * rng.normal(size=3)
-    gt = maxwell.transverse_project(g, k)
+    gt = maxwell.transverse_project(g, n)
     assert abs(n @ gt) < 1e-14
-    assert maxabs(maxwell.transverse_project(gt, k) - gt) < 1e-14
+    assert maxabs(maxwell.transverse_project(gt, n) - gt) < 1e-14
 
 
 def test_transverse_projection_origin_error():
     with pytest.raises(ValueError):
-        maxwell.transverse_project(np.ones(3), np.zeros(3))
+        maxwell.transverse_project(np.ones(3), maxwell.helicity_half(np.zeros(3)))
 
 
 def test_transversality_preserved_in_time():
@@ -64,7 +64,7 @@ def test_transversality_preserved_in_time():
     k = np.array([0.5, -0.3, 0.7])
     n = maxwell.helicity_half(k)
     for t in np.linspace(0.0, 10.0, 7):
-        gt = maxwell.transverse_bilinear(psi, phi, k, t)
+        gt = maxwell.transverse_bilinear(psi, phi, n, t)
         assert abs(n @ gt) < 1e-14
 
 
@@ -75,9 +75,10 @@ def test_rotation_form_matches_spinor_recomputation():
         k = rng.uniform(-1.2, 1.2, size=3)
         if np.linalg.norm(k) < 0.1:
             continue
+        n = maxwell.helicity_half(k)
         for t in np.linspace(0.0, 10.0, 6):
-            lhs = maxwell.rotation_form(psi, phi, k, t)
-            rhs = maxwell.transverse_bilinear(psi, phi, k, t)
+            lhs = maxwell.rotation_form(psi, phi, n, t)
+            rhs = maxwell.transverse_bilinear(psi, phi, n, t)
             assert maxabs(lhs - rhs) < 1e-11
 
 
@@ -120,9 +121,9 @@ def test_electric_field_real_for_conjugate_pair():
     rng = np.random.default_rng(6)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     phi = np.conj(psi)
-    k = np.array([0.2, 0.4, 0.6])
-    gt = maxwell.transverse_bilinear(psi, phi, k, 0.0)
-    e_field, b_field = maxwell.electric_magnetic(gt, k)
+    n = maxwell.helicity_half(np.array([0.2, 0.4, 0.6]))
+    gt = maxwell.transverse_bilinear(psi, phi, n, 0.0)
+    e_field, b_field = maxwell.electric_magnetic(gt, n)
     assert maxabs(e_field.imag) < 1e-13
     assert maxabs(b_field.imag) < 1e-13
 

@@ -151,8 +151,8 @@ def test_helicity_norm_is_omega():
     for v in ALL_VARIANTS:
         for _ in range(30):
             k = _random_k(rng, v.dimension, scale=1.5)
-            s = weyl.dispersion(v, k)
-            assert abs(np.linalg.norm(s.helicity) - s.omega[0]) < 1e-12
+            n = weyl.helicity_vector(v, k)
+            assert abs(np.linalg.norm(n) - weyl.dispersion(v, k).omega[0]) < 1e-12
 
 
 def test_interpolating_hamiltonian_zero_at_origin():
