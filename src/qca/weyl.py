@@ -4,11 +4,11 @@ Every variant evaluates to an SU(2) step operator
 
     W(k) = u(k) I - i sigma . ntilde(k),   u^2 + |ntilde|^2 = 1,
 
-with eigenphases +-arccos(u).  In three dimensions there are four variants
-(two sign branches and their transposes) on the BCC graph; in two dimensions
-an A/B pair on the square graph, extended by the exact one-parameter family
-obtained by premultiplying with cos(theta) I + i sin(theta) sigma_x; in one
-dimension the solution is unique and the dispersion is exactly linear.
+with eigenphases +-arccos(u).  Each is the ordered product of the one-axis
+rotations exp(-i sigma_a k_j / sqrt(d)): R_z on the line, R_x R_y on the square
+graph, R_x R_y R_z on the BCC graph (bcc-a-minus; the plus branch negates the y
+angle).  The two-dimensional theta family puts cos(theta) I + i sin(theta) sigma_x
+in front; kind B is the transpose of kind A, theta included, which negates ntilde_y.
 """
 
 from dataclasses import dataclass
@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import BranchPointError
 from .pauli import ID2, omega_over_sin, omega_over_sin_deriv, pauli_dot
-
-_X_HAT = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -77,85 +75,54 @@ class DispersionSample:
     group_velocity: np.ndarray
 
 
-def _vectors(*parts):
-    """Stack broadcast components along a new last axis."""
-    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+# The axis a of each factor exp(-i sigma_a k_j / sqrt(d)), in product order.
+_AXES = {1: (2,), 2: (0, 1), 3: (0, 1, 2)}
 
 
-def _matrices(*rows):
-    """Stack rows of broadcast components into shape (..., rows, columns)."""
-    return np.stack(np.broadcast_arrays(*(_vectors(*row) for row in rows)), axis=-2)
-
-
-def _base_closed_form(dimension, sign, k):
-    """(u, ntilde, grad u, jacobian of ntilde) before theta/transpose.
-
-    k has shape (..., d); the results have shapes (...), (..., 3), (..., d)
-    and (..., 3, d).
-    """
-    k = np.asarray(k, dtype=float)
-    if dimension == 1:
-        c, s = np.cos(k[..., 0]), np.sin(k[..., 0])
-        u = c
-        ntilde = _vectors(0.0, 0.0, s)
-        grad_u = _vectors(-s)
-        jac = _matrices([0.0], [0.0], [c])
-        return u, ntilde, grad_u, jac
-    if dimension == 2:
-        r = 1.0 / np.sqrt(2.0)
-        cx, cy = np.cos(k[..., 0] * r), np.cos(k[..., 1] * r)
-        sx, sy = np.sin(k[..., 0] * r), np.sin(k[..., 1] * r)
-        u = cx * cy
-        ntilde = _vectors(sx * cy, cx * sy, sx * sy)
-        grad_u = r * _vectors(-sx * cy, -cx * sy)
-        jac = r * _matrices(
-            [cx * cy, -sx * sy],
-            [-sx * sy, cx * cy],
-            [cx * sy, sx * cy],
-        )
-        return u, ntilde, grad_u, jac
-    r = 1.0 / np.sqrt(3.0)
-    cx, cy, cz = np.cos(k[..., 0] * r), np.cos(k[..., 1] * r), np.cos(k[..., 2] * r)
-    sx, sy, sz = np.sin(k[..., 0] * r), np.sin(k[..., 1] * r), np.sin(k[..., 2] * r)
-    g = float(sign)
-    u = cx * cy * cz + g * sx * sy * sz
-    ntilde = _vectors(
-        sx * cy * cz - g * cx * sy * sz,
-        -g * cx * sy * cz - sx * cy * sz,
-        cx * cy * sz - g * sx * sy * cz,
-    )
-    grad_u = r * _vectors(
-        -sx * cy * cz + g * cx * sy * sz,
-        -cx * sy * cz + g * sx * cy * sz,
-        -cx * cy * sz + g * sx * sy * cz,
-    )
-    jac = r * _matrices(
-        [cx * cy * cz + g * sx * sy * sz, -sx * sy * cz - g * cx * cy * sz, -sx * cy * sz - g * cx * sy * cz],
-        [g * sx * sy * cz - cx * cy * sz, -g * cx * cy * cz + sx * sy * sz, g * cx * sy * sz - sx * cy * cz],
-        [-sx * cy * sz - g * cx * sy * cz, -cx * sy * sz - g * sx * cy * cz, cx * cy * cz + g * sx * sy * sz],
-    )
-    return u, ntilde, grad_u, jac
+def _turn(q, axis, c, s, side=1):
+    """The quaternion q = (u, n_x, n_y, n_z), stacked along the first axis,
+    times c I - i s sigma_axis on the right (side=1) or on the left (side=-1)."""
+    u, n = q[0], q[1:]
+    a, b, e = axis, (axis + 1) % 3, (axis + 2) % 3
+    t = s if side == 1 else -s
+    out = np.empty_like(q)
+    out[0] = c * u - s * n[a]
+    out[1 + a] = c * n[a] + s * u
+    out[1 + b] = c * n[b] + t * n[e]
+    out[1 + e] = c * n[e] - t * n[b]
+    return out
 
 
 def closed_form(variant, k):
-    """(u, ntilde, grad u, jac ntilde) including theta and transpose.
-
-    Accepts k of shape (..., d); see _base_closed_form for the shapes.
-    """
-    u, nt, gu, jac = _base_closed_form(variant.dimension, variant.sign, k)
+    """(u, ntilde, grad u, jacobian of ntilde) at wave-vectors k of shape
+    (..., d); the results have shapes (...), (..., 3), (..., d), (..., 3, d)."""
+    k = np.asarray(k, dtype=float)
+    axes = _AXES[variant.dimension]
+    r = 1.0 / np.sqrt(len(axes))
+    phi = np.moveaxis(k, -1, 0) * r
+    cos, sin = np.cos(phi), np.sin(phi)
+    # The BCC sign branch turns by -sign k_y / sqrt(3) about y.
+    signs = (1.0, -float(variant.sign) if variant.dimension == 3 else 1.0, 1.0)
+    q = np.zeros((4,) + phi.shape[1:])
+    q[0], q[1 + axes[0]] = cos[0], sin[0]
+    dq = np.zeros((4, len(axes)) + phi.shape[1:])
+    dq[0, 0], dq[1 + axes[0], 0] = -sin[0], cos[0]
+    # Product rule: d/dk_j swaps factor j for its derivative; earlier factors are constant.
+    for j in range(1, len(axes)):
+        c, s, g = cos[j], sin[j], signs[j]
+        dq[:, :j] = _turn(dq[:, :j], axes[j], c, g * s)
+        dq[:, j] = _turn(q, axes[j], -s, g * c)
+        q = _turn(q, axes[j], c, g * s)
+    dq *= r
     if variant.theta != 0.0:
+        # The left factor exp(i theta sigma_x) does not depend on k.
         ct, st = np.cos(variant.theta), np.sin(variant.theta)
-        u2 = ct * u + st * nt[..., 0]
-        nt2 = ct * nt - (st * u)[..., None] * _X_HAT - st * np.cross(_X_HAT, nt)
-        gu2 = ct * gu + st * jac[..., 0, :]
-        jac2 = ct * jac - st * (_X_HAT[:, None] * gu[..., None, :])
-        jac2 -= st * np.cross(_X_HAT, jac, axisb=-2, axisc=-2)
-        u, nt, gu, jac = u2, nt2, gu2, jac2
+        q, dq = _turn(q, 0, ct, -st, side=-1), _turn(dq, 0, ct, -st, side=-1)
     if variant.kind == "B":
-        flip = np.array([1.0, -1.0, 1.0])
-        nt = nt * flip
-        jac = jac * flip[:, None]
-    return u, nt, gu, jac
+        # The transpose: sigma_y^T = -sigma_y.
+        q[2], dq[2] = -q[2], -dq[2]
+    return (q[0], np.moveaxis(q[1:], 0, -1), np.moveaxis(dq[0], 0, -1),
+            np.moveaxis(dq[1:], (0, 1), (-2, -1)))
 
 
 def weyl_matrix(variant, k):
@@ -198,7 +165,6 @@ def helicity_vector(variant, k):
 def dispersion(variant, k, scale=1.0):
     """Eigenphase branches +-arccos(scale u) and group velocity at wave-vectors
     k of shape (..., d); scale = n gives the Dirac walk's."""
-    k = np.asarray(k, dtype=float)
     u, _, gu, _ = closed_form(variant, k)
     w = _omega(scale * u)
     return DispersionSample(

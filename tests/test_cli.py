@@ -388,14 +388,20 @@ def test_evolve_rejects_snapshot_target_before_stepping(capsys, tmp_path, monkey
     (["graph", "--kind", "line"], "--output"),
     (EVOLVE_16, "--output"),
     (EVOLVE_16, "--observables"),
-], ids=["dispersion", "graph", "evolve-output", "evolve-observables"])
+    (["dirac-search", "--samples", "1"], "--output"),
+], ids=["dispersion", "graph", "evolve-output", "evolve-observables", "dirac-search"])
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 def test_bad_output_target_names_its_flag(capsys, tmp_path, monkeypatch, argv, flag, target):
-    # Each target is opened before the work: the dispersion sweep, the evolve stepping.
+    # Each target is opened before the work: the dispersion sweep, the evolve
+    # stepping, the probe's trials.
     if argv[0] == "dispersion":
         def sweep(variant, k):
             raise AssertionError("swept before the --output target was checked")
         monkeypatch.setattr(weyl, "dispersion", sweep)
+    elif argv[0] == "dirac-search":
+        def probe(**kwargs):
+            raise AssertionError("probed before the --output target was checked")
+        monkeypatch.setattr(dirac, "uniqueness_probe", probe)
     elif argv[0] == "evolve":
         def advance(self, hat, steps):
             raise AssertionError(f"stepped before the {flag} target was checked")
@@ -610,6 +616,11 @@ TILE_3D = ["tile", "--builtin", "bcc-a-plus"]
     (TILE_3D + ["--basis", "2,0,0;0,2,0;2,2,0"], "--basis"),
     (TILE_3D + ["--basis", "2,0,0;0,2,0;0,0,2", "--sizes", "4,a,4"], "--sizes"),
     (TILE_3D + ["--basis", "2,0,0;0,2,0;0,0,2", "--sizes", "4,4"], "--sizes"),
+    (["fock", "--modes", "0"], "--modes"),
+    (["fock", "--modes", "200"], "--modes"),
+    (["dispersion", "--variant", "weyl-2d", "--theta", "nan"], "--theta"),
+    (["dispersion", "--variant", "bcc-a-plus", "--theta", "0.3"], "--theta"),
+    (["dispersion", "--variant", "weyl-2d", "--dirac", "--mass", "1.5"], "--mass"),
 ])
 def test_flag_parse_errors_name_their_flag(capsys, argv, flag):
     code, out, err = _run(capsys, argv)

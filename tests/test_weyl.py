@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qca import weyl
 from qca.errors import BranchPointError
-from qca.pauli import SIGMA_X, SIGMA_Z, dagger, maxabs
+from qca.pauli import SIGMA_X, SIGMA_Z, dagger, maxabs, su2_exp
 
 ALL_VARIANTS = tuple(weyl.named_variants().values())
 
@@ -59,6 +59,47 @@ def test_transpose_relation():
                 assert maxabs(
                     weyl.weyl_matrix(vb, k) - weyl.weyl_matrix(va, k).T
                 ) < 1e-14
+
+
+# The named variants plus a theta member of each kind.
+PRODUCT_VARIANTS = ALL_VARIANTS + (weyl.WeylVariant(2, theta=0.3),
+                                   weyl.WeylVariant(2, kind="B", theta=-1.1))
+
+
+def _rotation_product(v, k):
+    """W(k) as the ordered product of the one-axis rotations exp(-i sigma_a k_j / sqrt(d))
+    (the BCC plus branch negates the y angle), exp(i theta sigma_x) in front, transposed
+    for kind B."""
+    axes = {1: (2,), 2: (0, 1), 3: (0, 1, 2)}[v.dimension]
+    angles = np.asarray(k) / np.sqrt(v.dimension)
+    if v.dimension == 3 and v.sign > 0:
+        angles = angles * np.array([1.0, -1.0, 1.0])
+    w = np.eye(2)
+    for axis, angle in zip(axes, angles):
+        w = w @ su2_exp(angle * np.eye(3)[axis])
+    w = (np.cos(v.theta) * np.eye(2) + 1j * np.sin(v.theta) * SIGMA_X) @ w
+    return w.T if v.kind == "B" else w
+
+
+def test_step_is_ordered_product_of_one_axis_rotations():
+    rng = np.random.default_rng(11)
+    for v in PRODUCT_VARIANTS:
+        for k in [np.zeros(v.dimension)] + [_random_k(rng, v.dimension, np.pi) for _ in range(20)]:
+            assert maxabs(weyl.weyl_matrix(v, k) - _rotation_product(v, k)) < 1e-14, (v.name, k)
+
+
+def test_derivatives_match_central_differences():
+    rng = np.random.default_rng(12)
+    step = 1e-6
+    for v in PRODUCT_VARIANTS:
+        for _ in range(10):
+            k = _random_k(rng, v.dimension)
+            _, _, grad_u, jac = weyl.closed_form(v, k)
+            for j in range(v.dimension):
+                dk = step * np.eye(v.dimension)[j]
+                up, um = weyl.closed_form(v, k + dk), weyl.closed_form(v, k - dk)
+                assert abs(grad_u[j] - (up[0] - um[0]) / (2 * step)) < 1e-8, v.name
+                assert maxabs(jac[:, j] - (up[1] - um[1]) / (2 * step)) < 1e-8, v.name
 
 
 def test_unimodular_closed_form():
