@@ -33,6 +33,7 @@ from .dirac import (
     dirac_interpolating_hamiltonian,
     dirac_matrix,
     dirac_small_k_hamiltonian,
+    probe_setup,
     uniqueness_probe,
 )
 from .evolution import (

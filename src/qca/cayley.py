@@ -14,6 +14,7 @@ polynomial in the plain inner products k . h.
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -318,9 +319,10 @@ def make_tiling(presentation, subgroup_basis):
     """Enumerate the cosets of the sublattice spanned by subgroup_basis.
 
     Basis vectors are the columns of the matrix formed from the given
-    sequence of d integer vectors.  Representatives are scanned over
-    [0, r)^d, which always contains the lexicographically smallest
-    non-negative representative because r * Z^d lies in the sublattice.
+    sequence of d integer vectors.  Each representative is the
+    lexicographically smallest non-negative one of its coset, and so has
+    x_j < o_j, the order of e_j modulo the sublattice (subtracting o_j e_j
+    stays in the coset and lowers x); only that box is scanned.
     """
     vectors = tuple(tuple(int(v) for v in vec) for vec in np.atleast_2d(subgroup_basis))
     m = np.array(vectors, dtype=int).T
@@ -331,7 +333,8 @@ def make_tiling(presentation, subgroup_basis):
     if r > 4096:
         raise ValueError(f"sublattice index {r} too large to enumerate")
     seen = {}
-    for x in product(range(r), repeat=presentation.dimension):
+    orders = [r // gcd(r, *map(int, adj[:, j])) for j in range(presentation.dimension)]
+    for x in product(*map(range, orders)):
         seen.setdefault(tuple((adj @ np.asarray(x, dtype=int)) % r), x)
         if len(seen) == r:
             break

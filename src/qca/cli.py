@@ -344,16 +344,12 @@ def _cmd_dirac_search(args):
             raise QcaError(f"{flag} must be at least 1")
     if not (np.isfinite(args.tolerance) and args.tolerance > 0):
         raise QcaError("--tolerance must be positive and finite")
-    variant = weyl.variant_by_name(args.variant)
-    # Opened before the trials: a target that cannot take the report costs no work.
+    setup = dirac.probe_setup(weyl.variant_by_name(args.variant), args.seed, args.k_samples)
+    # Opened after the set-up's usage checks and before the trials: a target
+    # that cannot take the report costs no work, and a usage error leaves it alone.
     with _opened(args.output) as fh:
-        report = dirac.uniqueness_probe(
-            variant=variant,
-            n_seeds=args.samples,
-            seed=args.seed,
-            n_k_verify=args.k_samples,
-            residual_tol=args.tolerance,
-        )
+        report = dirac.uniqueness_probe(setup=setup, n_seeds=args.samples,
+                                        residual_tol=args.tolerance)
         if report["best_nonfamily_residual"] == float("inf"):
             report["best_nonfamily_residual"] = 1.0
         fh.write(serialize.report_document(report))

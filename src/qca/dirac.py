@@ -16,16 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import weyl
-from .errors import BranchPointError, QcaError
-from .pauli import (
-    ID2,
-    PAULI,
-    dagger,
-    maxabs,
-    omega_over_sin,
-    omega_over_sin_deriv,
-    principal_phase,
-)
+from .errors import QcaError
+from .pauli import ID2, PAULI, dagger, maxabs, principal_phase
 
 _Z2 = np.zeros((2, 2), dtype=complex)
 
@@ -86,38 +78,25 @@ def dirac_dispersion(dd, k):
 
 
 def dirac_interpolating_hamiltonian(dd, k):
-    """Hermitian H with exp(-i H) = D(k); eigenvalues +-omega, each twice."""
-    u, nt, _, _ = weyl.closed_form(dd.weyl, k)
-    w = weyl._omega(dd.n * u)
-    if abs(w - np.pi) < 1e-6:
-        raise BranchPointError(f"eigenphase {w} at the logarithm branch point")
-    f = omega_over_sin(w)
+    """Hermitian H with exp(-i H) = D(k); eigenvalues +-omega, each twice: the
+    chiral walk's at scale n, f n gamma0 gamma . ntilde, plus the mass term -f m gamma0."""
+    f, nt = weyl._log_factor(dd.weyl, k, dd.n)
     return _gamma_sum(-f * dd.mass, f * dd.n * nt)
 
 
 def dirac_small_k_hamiltonian(dd, k):
-    """Literal first-order expansion of the interpolating Hamiltonian at k=0.
+    """Literal first-order expansion of the interpolating Hamiltonian at k=0,
+    from the chiral walk's linearization at scale n.
 
     For the canonical variants this is f0 (n/sqrt(d) gamma0 gamma . M k
     - m gamma0) with f0 = omega0/sin(omega0), omega0 = arccos(n): the
     eigenvalues are +-f0 sqrt(n^2 |k|^2 / d + m^2), which approaches the
-    continuum +-sqrt(n^2 |k|^2 / d + m^2) as f0 = 1 + O(m^2).
+    continuum +-sqrt(n^2 |k|^2 / d + m^2) as f0 = 1 + O(m^2).  Off the
+    canonical family (theta != 0) f also varies to first order.
     """
     k = np.asarray(k, dtype=float)
-    d = dd.dimension
-    zero = np.zeros(d)
-    u0, nt0, gu0, jac0 = weyl.closed_form(dd.weyl, zero)
-    w0 = weyl._omega(dd.n * u0)
-    f0 = omega_over_sin(w0)
-    sin_w0 = np.sin(w0)
-    out = _gamma_sum(-f0 * dd.mass, f0 * dd.n * (nt0 + jac0 @ k))
-    if sin_w0 >= 1e-9 and maxabs(gu0) > 0.0:
-        # Nonzero slope of omega at the origin (possible only off the
-        # canonical family, e.g. theta != 0): first order of f(omega(k)).
-        grad_w = -dd.n * gu0 / sin_w0
-        df = omega_over_sin_deriv(w0) * float(grad_w @ k)
-        out = out + df * _gamma_sum(-dd.mass, dd.n * nt0)
-    return out
+    n0, jac_n, f0, grad_f = weyl._linearization(dd.weyl, dd.n)
+    return _gamma_sum(-dd.mass * (f0 + grad_f @ k), dd.n * (n0 + jac_n @ k))
 
 
 def _coupled(params, w, adjoint_first):
@@ -273,23 +252,30 @@ def _dressed_family_fit(ws, omegas, usable, candidate_params, adjoint_first, tol
     return best
 
 
-def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_tol=1e-6):
-    """Randomized search for unitary couplings outside the mass family.
-
-    Each trial draws a random constant-block ansatz and locally minimizes
-    the unitarity residual; trials that converge below residual_tol are
-    classified by their spectra; trials whose optimizer raises, or whose
-    residual is not finite, are counted in optimizer_failures.  This is
-    desk-scale evidence, not a proof.
-    """
+def probe_setup(variant=None, seed=0, n_k_verify=50):
+    """What the coupling probe's trials share, drawn before any trial: the
+    variant, the generator the trials continue, W at the optimizer's
+    wave-vectors and the _verification_set.  Raises QcaError when fewer than
+    3 verification wave-vectors avoid the band edges."""
     if variant is None:
         variant = weyl.WeylVariant(3, kind="A", sign=1)
     rng = np.random.default_rng(seed)
     d = variant.dimension
     ks_opt = rng.uniform(-1.5, 1.5, size=(_N_K_OPTIMIZE, d))
     ks_ver = rng.uniform(-1.5, 1.5, size=(n_k_verify, d))
-    # What depends on the wave-vectors alone is built once, before any trial.
-    ws_opt, ver = weyl.weyl_matrix(variant, ks_opt), _verification_set(variant, ks_ver)
+    return variant, rng, weyl.weyl_matrix(variant, ks_opt), _verification_set(variant, ks_ver)
+
+
+def uniqueness_probe(setup, n_seeds=200, residual_tol=1e-6):
+    """Randomized search for unitary couplings outside the mass family.
+
+    Each trial draws a random constant-block ansatz from the probe_setup's
+    generator and locally minimizes the unitarity residual; trials that
+    converge below residual_tol are classified by their spectra; trials whose
+    optimizer raises, or whose residual is not finite, are counted in
+    optimizer_failures.  This is desk-scale evidence, not a proof.
+    """
+    variant, rng, ws_opt, ver = setup
     report = dict.fromkeys(("optimizer_failures", "converged_unitary", "decoupled_endpoint",
                             "flip_endpoint", "dressed_family", "exact_family", "off_family_hits"), 0)
     report.update(trials=n_seeds, best_nonfamily_residual=float("inf"), family_masses=[])
@@ -303,7 +289,7 @@ def uniqueness_probe(variant=None, n_seeds=200, seed=0, n_k_verify=50, residual_
             continue
         z = fit[0::2] + 1j * fit[1::2]
         p, q, r, t, x_block, y_block = _pack(z)
-        residual = coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, ks_ver,
+        residual = coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, None,
                                                adjoint_first=adjoint_first, ws=ver[0])
         if not np.isfinite(residual):
             report["optimizer_failures"] += 1

@@ -136,7 +136,7 @@ def precession_deviation(k, variant=_DEFAULT_VARIANT):
     is the distortion of the wave-vector substitution at large k.
     """
     k = np.asarray(k, dtype=float)
-    _, jac = weyl._linearization(variant)
+    _, jac, _, _ = weyl._linearization(variant)
     return float(np.linalg.norm(2.0 * helicity_half(k, variant) - jac @ k))
 
 

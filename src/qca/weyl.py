@@ -135,27 +135,6 @@ def _omega(u):
     return np.arccos(np.clip(u, -1.0, 1.0))
 
 
-def group_velocity(variant, k, u, grad_u, scale=1.0):
-    """Gradient of the positive branch arccos(scale * u(k)), shape (..., d).
-
-    Where sin(omega) < 1e-9 (band-touching points) symmetric differences
-    stand in; they return the direction-averaged value at a cone tip.
-    """
-    k = np.asarray(k, dtype=float)
-    a = scale * u
-    sin_w = np.sqrt(np.maximum(1.0 - a * a, 0.0))
-    touch = sin_w < 1e-9
-    velocity = -scale * grad_u / np.where(touch, 1.0, sin_w)[..., None]
-    if np.any(touch):
-        step = 1e-5
-        near = k[touch][:, None, :]
-        offsets = step * np.eye(k.shape[-1])
-        up = closed_form(variant, near + offsets)[0]
-        um = closed_form(variant, near - offsets)[0]
-        velocity[touch] = (_omega(scale * up) - _omega(scale * um)) / (2.0 * step)
-    return velocity
-
-
 def helicity_vector(variant, k):
     """Rotation-axis vector n = (omega / sin omega) ntilde; |n| = omega."""
     u, nt, _, _ = closed_form(variant, k)
@@ -164,40 +143,50 @@ def helicity_vector(variant, k):
 
 def dispersion(variant, k, scale=1.0):
     """Eigenphase branches +-arccos(scale u) and group velocity at wave-vectors
-    k of shape (..., d); scale = n gives the Dirac walk's."""
+    k of shape (..., d); scale = n gives the Dirac walk's.
+
+    The velocity is the gradient -scale grad u / sin(omega) of the positive
+    branch; at band-touching points (sin(omega) < 1e-9) it is 0, the direction
+    average over the cone tip.
+    """
     u, _, gu, _ = closed_form(variant, k)
+    a = scale * u
+    w = _omega(a)
+    sin_w = np.sqrt(np.maximum(1.0 - a * a, 0.0))
+    touch = sin_w < 1e-9
+    velocity = -scale * gu / np.where(touch, 1.0, sin_w)[..., None]
+    velocity[touch] = 0.0
+    return DispersionSample(omega=np.stack([w, -w], axis=-1), group_velocity=velocity)
+
+
+def _log_factor(variant, k, scale=1.0):
+    """(f, ntilde) at one wave-vector k: f = w / sin w at w = arccos(scale u(k)),
+    so that the interpolating Hamiltonians carry the vector f scale ntilde."""
+    u, nt, _, _ = closed_form(variant, k)
     w = _omega(scale * u)
-    return DispersionSample(
-        omega=np.stack([w, -w], axis=-1),
-        group_velocity=group_velocity(variant, k, u, gu, scale=scale),
-    )
+    if abs(w - np.pi) < 1e-6:
+        raise BranchPointError(f"eigenphase {w} at the logarithm branch point")
+    return omega_over_sin(w), nt
 
 
 def interpolating_hamiltonian(variant, k):
     """Hermitian H with exp(-i H) = W(k) exactly; eigenvalues +-omega."""
-    u, nt, _, _ = closed_form(variant, k)
-    w = _omega(u)
-    if abs(w - np.pi) < 1e-6:
-        raise BranchPointError(f"eigenphase {w} at the logarithm branch point")
-    return pauli_dot(omega_over_sin(w) * nt)
+    f, nt = _log_factor(variant, k)
+    return pauli_dot(f * nt)
 
 
 @lru_cache(maxsize=None)
-def _linearization(variant):
-    """Constant term and Jacobian of the helicity vector n(k) at k = 0."""
-    d = variant.dimension
-    zero = np.zeros(d)
-    u0, nt0, gu0, jac0 = closed_form(variant, zero)
-    w0 = _omega(u0)
+def _linearization(variant, scale=1.0):
+    """First order at k = 0 of f ntilde, f = w / sin w at w = arccos(scale u):
+    (f0 ntilde0, the Jacobian of f ntilde, f0, grad f0)."""
+    u0, nt0, gu0, jac0 = closed_form(variant, np.zeros(variant.dimension))
+    w0 = _omega(scale * u0)
     f0 = omega_over_sin(w0)
-    n0 = f0 * nt0
-    if w0 < 1e-9:
-        jac_n = jac0.copy()
-    else:
-        sin_w0 = np.sin(w0)
-        grad_w = -gu0 / sin_w0
-        jac_n = omega_over_sin_deriv(w0) * np.outer(nt0, grad_w) + f0 * jac0
-    return n0, jac_n
+    sin_w0 = np.sin(w0)
+    grad_f = np.zeros_like(gu0)
+    if sin_w0 >= 1e-9:
+        grad_f = omega_over_sin_deriv(w0) * (-scale * gu0 / sin_w0)
+    return f0 * nt0, f0 * jac0 + np.outer(nt0, grad_f), f0, grad_f
 
 
 def small_k_hamiltonian(variant, k):
@@ -208,7 +197,7 @@ def small_k_hamiltonian(variant, k):
     -theta sigma_x of the step operator's value at the origin.
     """
     k = np.asarray(k, dtype=float)
-    n0, jac_n = _linearization(variant)
+    n0, jac_n, _, _ = _linearization(variant)
     return pauli_dot(n0 + jac_n @ k)
 
 

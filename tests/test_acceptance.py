@@ -528,7 +528,7 @@ def test_criterion_10_tiling():
 def test_criterion_11_coupling_uniqueness_probe():
     started = time.perf_counter()
     report = dirac.uniqueness_probe(
-        n_seeds=200, seed=111, n_k_verify=50, residual_tol=1e-6
+        dirac.probe_setup(seed=111, n_k_verify=50), n_seeds=200, residual_tol=1e-6
     )
     elapsed = time.perf_counter() - started
     if report["off_family_hits"] > 0:

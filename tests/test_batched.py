@@ -27,8 +27,7 @@ def _zone_points(variant, count=24, seed=41):
     """k = 0, the grid points with -pi group angles, and random k; shape (N, d).
 
     For the canonical chiral walks k = 0 and the corner with every angle at
-    -pi are band-touching (u = +-1), so the finite-difference velocity runs
-    there.
+    -pi are band-touching (u = +-1), where the velocity is set to 0.
     """
     pres = build_presentation(variant.presentation_kind)
     d = variant.dimension

@@ -136,6 +136,39 @@ def test_tiling_decomposes_every_point_exactly(kind, basis):
         assert tuple(np.asarray(t.coset_reps[i]) + m @ g) == x
 
 
+def _lex_least_reps(basis):
+    """The lexicographically least representative of every coset, by scanning
+    all of [0, r)^d: x and y share a coset when r M^-1 (x - y) = 0 mod r."""
+    m = np.array(basis, dtype=float).T
+    r = abs(round(np.linalg.det(m)))
+    xs = np.array(list(itertools.product(range(r), repeat=len(m))))
+    keys = np.rint(np.linalg.solve(m, xs.T).T * r).astype(int) % r
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return tuple(sorted(tuple(int(v) for v in xs[i]) for i in first))
+
+
+@pytest.mark.parametrize("kind, basis", [
+    ("line", ((5,),)),
+    ("square_2d", ((2, 1), (0, 3))),
+    ("square_2d", ((3, 1), (1, 2))),
+    ("square_2d", ((0, 2), (3, 0))),
+    ("bcc_3d", ((1, 1, 0), (0, 2, 0), (0, 0, 3))),
+    ("bcc_3d", ((2, 1, 0), (1, 3, 1), (0, 1, 2))),
+    ("bcc_3d", ((0, 1, 0), (1, 0, 0), (0, 0, 3))),
+    ("bcc_3d", ((4, 0, 0), (0, 4, 0), (0, 0, 4))),
+    ("bcc_3d", ((2, 0, 1), (0, 3, 0), (1, 1, 4))),
+])
+def test_tiling_reps_match_full_box_scan(kind, basis):
+    # make_tiling scans only x_j < o_j, the order of e_j modulo the sublattice.
+    assert make_tiling(build_presentation(kind), basis).coset_reps == _lex_least_reps(basis)
+
+
+def test_tiling_at_the_index_cap():
+    t = make_tiling(build_presentation("bcc_3d"), ((16, 0, 0), (0, 16, 0), (0, 0, 16)))
+    assert t.index == 4096
+    assert t.coset_reps == tuple(itertools.product(range(16), repeat=3))
+
+
 def test_tiling_singular_basis_raises():
     p = build_presentation("square_2d")
     with pytest.raises(ValueError):

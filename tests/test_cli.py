@@ -565,14 +565,21 @@ def test_dirac_search_rejects_bad_arguments_before_any_work(capsys, monkeypatch,
     assert message in err
 
 
-def test_dirac_search_rejects_k_samples_the_family_fit_cannot_use(capsys):
+def test_dirac_search_rejects_k_samples_the_family_fit_cannot_use(capsys, tmp_path):
     # Two verification wave-vectors converge every trial, but the family fit
     # needs three away from the band edges; no trial may read as off-family.
-    code, out, err = _run(capsys, ["dirac-search", "--samples", "8", "--seed", "7",
-                                   "--k-samples", "2"])
+    argv = ["dirac-search", "--samples", "8", "--seed", "7", "--k-samples", "2"]
+    code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert "--k-samples" in err
+    # The usage error comes before --output is opened: an existing file keeps its bytes.
+    keep = tmp_path / "keep.json"
+    keep.write_text("keep-this\n")
+    code, out, err = _run(capsys, argv + ["--output", str(keep)])
+    assert code == 2
+    assert "--k-samples" in err
+    assert keep.read_text() == "keep-this\n"
 
 
 def test_probe_imports_neither_scipy_nor_numpy_ma(tmp_path):

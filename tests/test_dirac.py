@@ -82,8 +82,8 @@ def test_dispersion_formula_matches_eigenphases():
 
 
 def test_dispersion_massless_reduces_to_weyl():
-    # Bit for bit, k = 0 (a band-touching point, where the velocity is a
-    # symmetric difference) included.
+    # Bit for bit, k = 0 (a band-touching point, where the velocity is 0)
+    # included.
     rng = np.random.default_rng(6)
     for variant in weyl.named_variants().values():
         dd = dirac.DiracDescriptor(weyl=variant, mass=0.0)
@@ -193,10 +193,15 @@ def test_small_k_matches_exact_at_tiny_parameters():
 
 
 def test_small_k_residual_scaling():
+    # The theta members have a nonzero slope of omega at the origin, so their
+    # expansion needs the first order of f = omega / sin(omega) too.
     direction = {1: np.array([1.0]), 2: np.array([0.8, -0.6]),
                  3: np.array([0.64, 0.6, 0.48])}
-    for variant in (V1, V2, V3):
-        dd = dirac.DiracDescriptor(weyl=variant, mass=0.1)
+    theta_members = (weyl.WeylVariant(2, theta=0.3), weyl.WeylVariant(2, kind="B", theta=-1.1))
+    cases = [(v, 0.1) for v in (V1, V2, V3)] + [
+        (v, m) for v in theta_members for m in (0.0, 0.2, 0.6)]
+    for variant, mass in cases:
+        dd = dirac.DiracDescriptor(weyl=variant, mass=mass)
         xs, ys = [], []
         for mag in np.geomspace(1e-3, 1e-1, 12):
             k = mag * direction[variant.dimension]
@@ -207,7 +212,7 @@ def test_small_k_residual_scaling():
             xs.append(np.log(mag))
             ys.append(np.log(gap))
         slope = np.polyfit(xs, ys, 1)[0]
-        assert abs(slope - 2.0) < 0.1, (variant.name, slope)
+        assert abs(slope - 2.0) < 0.1, (variant.name, mass, slope)
 
 
 def test_coupling_residual_family_is_unitary():
@@ -309,7 +314,7 @@ def test_probe_counts_optimizer_failures(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dirac, "_levenberg_marquardt", flaky)
-    report = dirac.uniqueness_probe(n_seeds=5, seed=4, n_k_verify=25)
+    report = dirac.uniqueness_probe(dirac.probe_setup(seed=4, n_k_verify=25), n_seeds=5)
     assert len(calls) == 5
     assert report["optimizer_failures"] == 1
     classes = (report["decoupled_endpoint"] + report["flip_endpoint"]
@@ -320,7 +325,7 @@ def test_probe_counts_optimizer_failures(monkeypatch):
 def test_probe_counts_non_finite_fits_as_failures(monkeypatch):
     # A NaN residual compares False with the tolerance; it must not pass as converged.
     monkeypatch.setattr(dirac, "_levenberg_marquardt", lambda *args: np.full(24, np.nan))
-    report = dirac.uniqueness_probe(n_seeds=3, seed=4, n_k_verify=25)
+    report = dirac.uniqueness_probe(dirac.probe_setup(seed=4, n_k_verify=25), n_seeds=3)
     assert report["optimizer_failures"] == 3
     assert report["converged_unitary"] == 0
 
@@ -391,7 +396,7 @@ def test_probe_trajectory_is_pinned_at_seed_7():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dirac, "_residual_and_jacobian", counted)
         mp.setattr(dirac, "_levenberg_marquardt", per_trial)
-        report = dirac.uniqueness_probe(n_seeds=8, seed=7)
+        report = dirac.uniqueness_probe(dirac.probe_setup(seed=7), n_seeds=8)
     assert evaluations == [9, 9, 10, 16, 10, 8, 9, 8]
     assert (report["optimizer_failures"], report["converged_unitary"]) == (0, 8)
     assert (report["decoupled_endpoint"], report["flip_endpoint"],
@@ -440,7 +445,7 @@ def test_d1_decomposes_into_identical_pair():
 
 
 def test_uniqueness_probe_smoke():
-    report = dirac.uniqueness_probe(n_seeds=10, seed=4, n_k_verify=25)
+    report = dirac.uniqueness_probe(dirac.probe_setup(seed=4, n_k_verify=25), n_seeds=10)
     assert report["trials"] == 10
     assert report["off_family_hits"] == 0
     assert report["converged_unitary"] > 0

@@ -161,6 +161,29 @@ def test_group_velocity_bounded_by_one():
             assert speed <= 1.0 + 1e-9
 
 
+TOUCHING_CASES = ALL_VARIANTS + tuple(
+    weyl.WeylVariant(2, kind=kind, theta=theta)
+    for theta in (np.pi / 4, np.pi / 2, np.pi) for kind in ("A", "B"))
+
+
+@pytest.mark.parametrize("variant", TOUCHING_CASES, ids=lambda v: v.name)
+def test_band_touching_velocity_is_exactly_zero_on_zone_grids(variant):
+    # At a cone tip (u = +-1, so sin(omega) = 0) the gradient has no limit;
+    # the direction average over the tip, +0.0, stands in exactly.
+    from qca.cayley import build_presentation
+
+    pres = build_presentation(variant.presentation_kind)
+    d = variant.dimension
+    for grid in (16, 24):
+        axis = np.arange(grid) * (2.0 * np.pi / grid) - np.pi
+        angles = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        k = pres.k_of_theta(angles)
+        touch = np.abs(weyl.closed_form(variant, k)[0]) >= 1.0
+        assert np.any(touch), grid
+        velocity = weyl.dispersion(variant, k).group_velocity[touch]
+        assert np.all(velocity == 0.0) and not np.any(np.signbit(velocity)), (grid, velocity)
+
+
 def test_velocity_continuous_across_zone_face():
     # Crossing a zone face is a reciprocal translation: omega and the
     # gradient must agree between the face point and its translate.
