@@ -313,14 +313,13 @@ def _cmd_tile(args):
     descriptor = _load_descriptor(args)
     tiling = _parsed("--basis", args.basis, lambda text: make_tiling(
         descriptor.presentation, _parse_int_matrix(text)))
-    coarse = evolution.tile_descriptor(descriptor, tiling)
-
     payload = {
         "index": tiling.index,
         "coset_reps": [list(rep) for rep in tiling.coset_reps],
-        "coarse_internal_dim": coarse.internal_dim,
+        "coarse_internal_dim": descriptor.internal_dim * tiling.index,
     }
     if args.sizes:
+        coarse = evolution.tile_descriptor(descriptor, tiling)
         lattice = _parsed("--sizes", args.sizes,
                           lambda text: _parse_lattice(text, descriptor.presentation))
         rng = np.random.default_rng(args.seed)

@@ -100,11 +100,11 @@ def dirac_small_k_hamiltonian(dd, k):
 
 
 def _coupled(params, w, adjoint_first):
-    """The constant-block ansatz [[p W', q X], [r Y, t W]], W' = W^+ or W, for
-    a stack w of shape (..., 2, 2); shape (..., 4, 4)."""
+    """The constant-block ansatz [[p W', q X], [r Y, t W]], W' = W^+ where adjoint_first (one
+    flag, or flags broadcast against w) else W, for a stack w (..., 2, 2); shape (..., 4, 4)."""
     p, q, r, t, x_block, y_block = params
     out = np.empty(w.shape[:-2] + (4, 4), dtype=complex)
-    out[..., :2, :2] = p * (dagger(w) if adjoint_first else w)
+    out[..., :2, :2] = p * np.where(adjoint_first, dagger(w), w)
     out[..., :2, 2:] = q * x_block
     out[..., 2:, :2] = r * y_block
     out[..., 2:, 2:] = t * w
@@ -129,65 +129,100 @@ def coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, k_samples
 
 
 def _pack(params):
-    return (*params[:4], params[4:8].reshape(2, 2), params[8:12].reshape(2, 2))
+    """p, q, r, t (with two trailing unit axes) and X, Y from parameters (..., 12)."""
+    return (*np.moveaxis(params[..., :4, None, None], -3, 0),
+            *np.moveaxis(params[..., 4:].reshape(params.shape[:-1] + (2, 2, 2)), -3, 0))
 
 
-def _residual_and_jacobian(params_real, ws, adjoint_first):
-    """D^+ D - I at the stacked step operators ws (16 real then 16 imaginary
-    parts per operator) and its Jacobian in the interleaved real and imaginary
-    parts of the 12 complex parameters: with C_i = dD/dz_i, D^+ D changes by
-    C_i^+ D + h.c. along Re z_i and -i C_i^+ D + h.c. along Im z_i.  For
-    D = [[P, Q], [R, T]] each C_i^+ D is one block row: rows 0-1 hold W'^+ [P Q]
-    for p and Y^+ [R T] for r; rows 2-3 X^+ [P Q] for q and W^+ [R T] for t; row
-    2+b holds conj(q) D's row a for X_ab, and row b conj(r) D's row 2+a for Y_ab."""
-    _, q, r, _, x_block, y_block = params = _pack(params_real[0::2] + 1j * params_real[1::2])
-    d = _coupled(params, ws, adjoint_first)
-    top, bottom, rows, w_h = d[:, :2], d[:, 2:], d.transpose(1, 0, 2), dagger(ws)
+def _residual_basis(variant, ks):
+    """[I, sqrt(2) V_0, ..., sqrt(2) V_3], V_l = sum_mu R_l,mu E_mu for the QR factor R of
+    the K x 4 matrix of the a(k) = (u, ntilde) in W(k) = sum_mu a_mu(k) E_mu, E = (I, -i sigma)."""
+    u, nt, _, _ = weyl.closed_form(variant, ks)
+    r = np.sqrt(2.0) * np.linalg.qr(np.column_stack([u, nt]), mode="r")
+    return np.concatenate([ID2[None], np.tensordot(r, np.stack([ID2, *(-1j * PAULI)]), 1)])
+
+
+# The weights of the entries of D^+ D - I over a _residual_basis that the residual keeps.
+_WEIGHT = np.zeros((5, 4, 4))
+_WEIGHT[0, :2, :2] = _WEIGHT[0, 2:, 2:] = np.sqrt(_N_K_OPTIMIZE)
+_WEIGHT[1:, :2, 2:] = 1.0
+_KEEP = _WEIGHT > 0
+
+
+def _residual_and_jacobian(x, basis, adjoint_first):
+    """f (T, 48) and J^T (T, 24, 48) of the probe's residual at the K = _N_K_OPTIMIZE
+    wave-vectors of a _residual_basis, for trials x (T, 24) (real and imaginary parts
+    interleaved) with flags adjoint_first (T,).  W(k) is unitary and linear in a(k), so
+    sum_k |D^+ D - I|^2 = K |TL, BR at W = I|^2 + 2 sum_l |TR at W = V_l|^2, with the
+    same J^T f and J^T J.  With C_i = dD/dz_i, D^+ D changes by C_i^+ D + h.c. along
+    Re z_i and -i C_i^+ D + h.c. along Im z_i.  Each C_i^+ D is one block row of
+    D = [[P, Q], [R, T]]: rows 0-1 hold W'^+ [P Q] for p and Y^+ [R T] for r; rows 2-3
+    X^+ [P Q] for q and W^+ [R T] for t; row 2+b conj(q) D's row a for X_ab, and row b
+    conj(r) D's row 2+a for Y_ab."""
+    _, q, r, _, x_block, y_block = params = _pack((x[:, 0::2] + 1j * x[:, 1::2])[:, None])
+    flags, ws = adjoint_first[:, None, None, None], np.broadcast_to(basis, (len(x),) + basis.shape)
+    d, w_h = _coupled(params, ws, flags), dagger(ws)
+    top, bottom, rows = d[..., :2, :], d[..., 2:, :], np.moveaxis(d, -2, 0)
     cd = np.zeros((12,) + d.shape, dtype=complex)
-    cd[0, :, :2], cd[1, :, 2:] = (ws if adjoint_first else w_h) @ top, dagger(x_block) @ top
-    cd[2, :, :2], cd[3, :, 2:] = dagger(y_block) @ bottom, w_h @ bottom
+    cd[0, ..., :2, :], cd[1, ..., 2:, :] = np.where(flags, ws, w_h) @ top, dagger(x_block) @ top
+    cd[2, ..., :2, :], cd[3, ..., 2:, :] = dagger(y_block) @ bottom, w_h @ bottom
     ab = np.arange(4)
-    cd[4 + ab, :, 2 + ab % 2] = np.conj(q) * rows[ab // 2]
-    cd[8 + ab, :, ab % 2] = np.conj(r) * rows[2 + ab // 2]
-    jac = np.stack([cd + dagger(cd), 1j * (dagger(cd) - cd)], axis=1).reshape(24, -1, 16)
-    res = _unitarity_defect(d).reshape(-1, 16)
-    return (np.concatenate([res.real, res.imag], axis=-1).ravel(),
-            np.concatenate([jac.real, jac.imag], axis=-1).reshape(24, -1).T)
+    cd[4 + ab, ..., 2 + ab % 2, :] = np.conj(q[..., 0]) * rows[ab // 2]
+    cd[8 + ab, ..., ab % 2, :] = np.conj(r[..., 0]) * rows[2 + ab // 2]
+    cd_h = np.conj(np.swapaxes(cd, -1, -2)[..., _KEEP]) * _WEIGHT[_KEEP]
+    cd = cd[..., _KEEP] * _WEIGHT[_KEEP]
+    jac = np.moveaxis(np.stack([cd + cd_h, 1j * (cd_h - cd)], axis=1), 2, 0)
+    res = _unitarity_defect(d)[..., _KEEP] * _WEIGHT[_KEEP]
+    return (np.concatenate([res.real, res.imag], axis=-1),
+            np.ascontiguousarray(np.concatenate([jac.real, jac.imag], -1)).reshape(-1, 24, 48))
 
 
-def _levenberg_marquardt(fun, x, args=()):
-    """Levenberg-Marquardt: a local minimum of |f(x)|^2; fun(x, *args) returns
-    f and its Jacobian J.  The damping scales with the largest diag(J^T J)
-    seen so far (as in MINPACK), so a column that fades near a manifold of
-    solutions (X's as q -> 0) stays damped.  Stops when the relative decrease
-    of |f|^2, the step relative to |x| or the largest cosine between f and a
-    column of J falls to _TOL (ftol, xtol, gtol), or after _MAX_NFEV
-    evaluations.  A singular or non-finite step raises LinAlgError."""
-    f, jac = fun(x, *args)
-    cost, nfev, damping = f @ f, 1, 1e-3
-    scale = np.zeros(x.size)
-    while nfev < _MAX_NFEV:
-        grad, normal = jac.T @ f, jac.T @ jac
-        diag = normal.diagonal()  # a view: read it only before the damping below
-        if np.all(np.abs(grad) <= _TOL * np.sqrt(cost * diag)):
-            break
+def _solve(normal, rhs):
+    """np.linalg.solve on a stack of systems; when one is singular, each is solved
+    alone and the singular ones give NaN."""
+    try:
+        return np.linalg.solve(normal, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(rhs) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve(a[None], b[None]) for a, b in zip(normal, rhs)])
+
+
+def _levenberg_marquardt(fun, x):
+    """Levenberg-Marquardt on trials x (T, n), fun(y, trials) giving f (rows, m) and J^T
+    (rows, n, m): a local minimum of |f|^2 per trial.  Each trial's damping scales with the
+    largest diag(J^T J) it has seen (as in MINPACK), so a column that fades near a manifold
+    of solutions (X's as q -> 0) stays damped.  A trial leaves the batch when its ftol,
+    xtol or gtol test passes at _TOL, or after _MAX_NFEV evaluations.  Returns the fits
+    (NaN after a singular or non-finite step) and each trial's evaluations."""
+    fits, nfev = np.full(x.shape, np.nan), np.zeros(len(x), dtype=int)
+    trials, ii, evaluations, stop = np.arange(len(x)), np.arange(x.shape[1]), 1, False
+    f, jac_t = fun(x, trials)
+    cost, damping, scale = (f[:, None] @ f[..., None])[:, 0, 0], np.full(len(x), 1e-3), 0.0
+    while True:
+        grad, normal = (jac_t @ f[..., None])[..., 0], jac_t @ jac_t.transpose(0, 2, 1)
+        diag = normal[:, ii, ii]
+        stop |= np.all(np.abs(grad) <= _TOL * np.sqrt(cost[:, None] * diag), axis=1)
         scale = np.maximum(scale, diag)
-        normal.reshape(-1)[::x.size + 1] += damping * scale
-        step = np.linalg.solve(normal, -grad)
-        if not np.all(np.isfinite(step)):
-            raise np.linalg.LinAlgError("non-finite step")
-        f_new, jac_new = fun(x + step, *args)
-        nfev += 1
-        cost_new = f_new @ f_new
-        converged = np.linalg.norm(step) <= _TOL * (_TOL + np.linalg.norm(x))
-        if cost_new < cost:
-            converged = converged or cost - cost_new <= _TOL * cost
-            x, f, jac, cost, damping = x + step, f_new, jac_new, cost_new, damping / 10.0
-        else:
-            damping *= 10.0
-        if converged:
-            break
-    return x
+        normal[:, ii, ii] += damping[:, None] * scale
+        step = _solve(normal, -grad)
+        failed = ~stop & ~np.all(np.isfinite(step), axis=1)
+        stop |= failed | (evaluations >= _MAX_NFEV)
+        fits[trials[stop & ~failed]], nfev[trials[stop]] = x[stop & ~failed], evaluations
+        trials, x, f, jac_t, cost, damping, scale, step = (
+            a[~stop] for a in (trials, x, f, jac_t, cost, damping, scale, step))
+        if not trials.size:
+            return fits, nfev
+        f_new, jac_t_new = fun(x + step, trials)
+        evaluations += 1
+        cost_new = (f_new[:, None] @ f_new[..., None])[:, 0, 0]
+        better = cost_new < cost
+        stop = ((np.linalg.norm(step, axis=1) <= _TOL * (_TOL + np.linalg.norm(x, axis=1)))
+                | better & (cost - cost_new <= _TOL * cost))
+        x, f, jac_t = (np.where(better.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
+                       for a, b in ((x, x + step), (f, f_new), (jac_t, jac_t_new)))
+        cost = np.where(better, cost_new, cost)
+        damping = np.where(better, damping / 10.0, damping * 10.0)
 
 
 def _wrap_phase(x):
@@ -254,8 +289,8 @@ def _dressed_family_fit(ws, omegas, usable, candidate_params, adjoint_first, tol
 
 def probe_setup(variant=None, seed=0, n_k_verify=50):
     """What the coupling probe's trials share, drawn before any trial: the
-    variant, the generator the trials continue, W at the optimizer's
-    wave-vectors and the _verification_set.  Raises QcaError when fewer than
+    variant, the generator the trials continue, the _residual_basis of the
+    optimizer's wave-vectors and the _verification_set.  Raises QcaError when fewer than
     3 verification wave-vectors avoid the band edges."""
     if variant is None:
         variant = weyl.WeylVariant(3, kind="A", sign=1)
@@ -263,30 +298,28 @@ def probe_setup(variant=None, seed=0, n_k_verify=50):
     d = variant.dimension
     ks_opt = rng.uniform(-1.5, 1.5, size=(_N_K_OPTIMIZE, d))
     ks_ver = rng.uniform(-1.5, 1.5, size=(n_k_verify, d))
-    return variant, rng, weyl.weyl_matrix(variant, ks_opt), _verification_set(variant, ks_ver)
+    return variant, rng, _residual_basis(variant, ks_opt), _verification_set(variant, ks_ver)
 
 
 def uniqueness_probe(setup, n_seeds=200, residual_tol=1e-6):
     """Randomized search for unitary couplings outside the mass family.
 
     Each trial draws a random constant-block ansatz from the probe_setup's
-    generator and locally minimizes the unitarity residual; trials that
-    converge below residual_tol are classified by their spectra; trials whose
-    optimizer raises, or whose residual is not finite, are counted in
-    optimizer_failures.  This is desk-scale evidence, not a proof.
+    generator; one batched solve locally minimizes every trial's unitarity
+    residual; trials that converge below residual_tol are classified by their
+    spectra; trials whose step was singular or not finite, or whose residual is
+    not finite, are counted in optimizer_failures.  Desk-scale evidence, not a proof.
     """
-    variant, rng, ws_opt, ver = setup
+    variant, rng, basis, ver = setup
     report = dict.fromkeys(("optimizer_failures", "converged_unitary", "decoupled_endpoint",
                             "flip_endpoint", "dressed_family", "exact_family", "off_family_hits"), 0)
     report.update(trials=n_seeds, best_nonfamily_residual=float("inf"), family_masses=[])
-    for _ in range(n_seeds):
-        adjoint_first = bool(rng.integers(0, 2))
-        start = rng.normal(scale=1.0, size=24)
-        try:
-            fit = _levenberg_marquardt(_residual_and_jacobian, start, (ws_opt, adjoint_first))
-        except (ValueError, np.linalg.LinAlgError):
-            report["optimizer_failures"] += 1
-            continue
+    flags, starts = np.zeros(n_seeds, dtype=bool), np.zeros((n_seeds, 24))
+    for i in range(n_seeds):
+        flags[i], starts[i] = rng.integers(0, 2), rng.normal(scale=1.0, size=24)
+    fits, _ = _levenberg_marquardt(
+        lambda y, trials: _residual_and_jacobian(y, basis, flags[trials]), starts)
+    for adjoint_first, fit in zip(flags, fits):
         z = fit[0::2] + 1j * fit[1::2]
         p, q, r, t, x_block, y_block = _pack(z)
         residual = coupling_unitarity_residual(p, q, r, t, x_block, y_block, variant, None,
@@ -299,7 +332,7 @@ def uniqueness_probe(setup, n_seeds=200, residual_tol=1e-6):
             continue
         report["converged_unitary"] += 1
         coupling = max(maxabs(q * x_block), maxabs(r * y_block))
-        diagonal = max(abs(p), abs(t))
+        diagonal = maxabs(z[[0, 3]])
         if coupling < 1e-8:
             report["decoupled_endpoint"] += 1
             continue

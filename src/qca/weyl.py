@@ -179,9 +179,9 @@ def interpolating_hamiltonian(variant, k):
 def _linearization(variant, scale=1.0):
     """First order at k = 0 of f ntilde, f = w / sin w at w = arccos(scale u):
     (f0 ntilde0, the Jacobian of f ntilde, f0, grad f0)."""
+    f0, _ = _log_factor(variant, np.zeros(variant.dimension), scale)  # raises at the branch point
     u0, nt0, gu0, jac0 = closed_form(variant, np.zeros(variant.dimension))
     w0 = _omega(scale * u0)
-    f0 = omega_over_sin(w0)
     sin_w0 = np.sin(w0)
     grad_f = np.zeros_like(gu0)
     if sin_w0 >= 1e-9:

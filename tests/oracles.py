@@ -81,9 +81,11 @@ def stream_snapshot(state, path):
 
 
 def residual_and_jacobian_einsum(params_real, ws, adjoint_first):
-    """The coupling probe's residual and Jacobian with every C_i = dD/dz_i held
-    as a full 4x4 stack and C_i^+ D taken by one einsum: the reference for
-    dirac._residual_and_jacobian, which builds C_i^+ D from 2x2 blocks."""
+    """The coupling probe's residual D^+ D - I at every wave-vector of the stack ws
+    (16 real then 16 imaginary parts each) and its Jacobian, with every
+    C_i = dD/dz_i held as a full 4x4 stack and C_i^+ D taken by one einsum: the
+    reference for dirac._residual_and_jacobian, which compresses the sum over
+    the wave-vectors to 48 entries and builds C_i^+ D from 2x2 blocks."""
     _, q, r, _, x_block, y_block = params = dirac._pack(params_real[0::2] + 1j * params_real[1::2])
     d = dirac._coupled(params, ws, adjoint_first)
     c = np.zeros((12,) + d.shape, dtype=complex)

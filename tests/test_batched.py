@@ -10,7 +10,7 @@ from qca.automaton import assemble, spectrum
 from qca.cayley import build_presentation
 from qca.pauli import dagger
 
-from oracles import same_bits
+from oracles import residual_and_jacobian_einsum, same_bits
 
 DIRAC_VARIANTS = tuple(catalog.dirac_variant_for(f"dirac-{d}d") for d in (1, 2, 3))
 WEYL_CASES = tuple(weyl.named_variants().values()) + (weyl.WeylVariant(2, theta=0.3),)
@@ -105,11 +105,16 @@ def test_assemble_grid_matches_scattered_points(name):
 
 @pytest.mark.parametrize("adjoint_first", [True, False])
 def test_residual_vector_from_precomputed_stack(adjoint_first):
+    # The full residual of the oracle, from the stack of W at every wave-vector,
+    # against a loop over the wave-vectors; the probe's 48-entry residual keeps its cost.
     variant = weyl.WeylVariant(3)
     rng = np.random.default_rng(5)
     ks = rng.uniform(-1.5, 1.5, size=(12, 3))
     params_real = rng.normal(size=24)
-    got, _ = dirac._residual_and_jacobian(params_real, weyl.weyl_matrix(variant, ks), adjoint_first)
+    got, _ = residual_and_jacobian_einsum(params_real, weyl.weyl_matrix(variant, ks), adjoint_first)
+    compressed, _ = dirac._residual_and_jacobian(
+        params_real[None], dirac._residual_basis(variant, ks), np.array([adjoint_first]))
+    assert abs(compressed[0] @ compressed[0] - got @ got) <= 1e-13 * (got @ got)
 
     z = params_real[0::2] + 1j * params_real[1::2]
     p, q, r, t = z[:4]

@@ -535,6 +535,34 @@ def test_tile_report(capsys):
     assert doc["commuting_square_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("builtin, basis, sizes", [
+    ("weyl-1d", "2", "8"),
+    ("dirac-2d", "2,1;0,2", None),  # --sizes takes diagonal bases only
+    ("bcc-a-plus", "2,0,0;0,2,0;0,0,2", "8,8,8"),
+])
+def test_tile_builds_the_coarse_automaton_only_for_sizes(capsys, monkeypatch, builtin, basis,
+                                                         sizes):
+    # Without --sizes the report needs only the coarse size, s * index: the same
+    # bytes as when it is read off the coarse automaton, which is not built.
+    descriptor = catalog.build_descriptor(builtin)
+    tiling = make_tiling(descriptor.presentation, cli._parse_int_matrix(basis))
+    want = serialize.report_document({
+        "index": tiling.index,
+        "coset_reps": [list(rep) for rep in tiling.coset_reps],
+        "coarse_internal_dim": evolution.tile_descriptor(descriptor, tiling).internal_dim,
+    })
+    real, built = evolution.tile_descriptor, []
+    monkeypatch.setattr(evolution, "tile_descriptor",
+                        lambda *args: built.append(args) or real(*args))
+    code, out, _ = _run(capsys, ["tile", "--builtin", builtin, "--basis", basis])
+    assert (code, out, built) == (0, want, [])
+    if sizes is None:
+        return
+    code, out, _ = _run(capsys, ["tile", "--builtin", builtin, "--basis", basis, "--sizes", sizes])
+    assert code == 0 and len(built) == 1
+    assert json.loads(out)["coarse_internal_dim"] == json.loads(want)["coarse_internal_dim"]
+
+
 def test_dirac_search_report(capsys):
     code, out, _ = _run(capsys, ["dirac-search", "--samples", "4", "--seed", "2"])
     assert code == 0
@@ -598,6 +626,24 @@ def test_probe_imports_neither_scipy_nor_numpy_ma(tmp_path):
                           env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
     assert json.loads((tmp_path / "probe.json").read_text())["dressed_family"] == 2
+
+
+def test_probe_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Fresh interpreters with one and two OpenBLAS threads write the same report.
+    src = str(Path(qca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"probe-{threads}.json"
+        script = ("from qca.cli import main\n"
+                  f"assert main(['dirac-search', '--samples', '8', '--seed', '7', '--output', "
+                  f"{str(out)!r}]) == 0\n")
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["dressed_family"] == 2
 
 
 @pytest.mark.parametrize("dt", ["0", "-1e-3", "nan", "inf"])

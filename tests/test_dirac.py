@@ -153,6 +153,20 @@ def test_interpolating_branch_guard():
         dirac.dirac_interpolating_hamiltonian(dd, [np.pi])
 
 
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_small_k_branch_point_guard(kind):
+    # At m = 0 and theta = pi, w0 = arccos(n u(0)) = pi: the expansion raises as
+    # the interpolating Hamiltonian does.  A mass moves w0 off the branch point.
+    for theta in (np.pi, np.pi - 5e-7):
+        dd = dirac.DiracDescriptor(weyl=weyl.WeylVariant(2, kind=kind, theta=theta), mass=0.0)
+        with pytest.raises(BranchPointError):
+            dirac.dirac_small_k_hamiltonian(dd, [0.01, 0.02])
+        with pytest.raises(BranchPointError):
+            dirac.dirac_interpolating_hamiltonian(dd, [0.0, 0.0])
+    dd = dirac.DiracDescriptor(weyl=weyl.WeylVariant(2, kind=kind, theta=np.pi), mass=0.3)
+    assert maxabs(dirac.dirac_small_k_hamiltonian(dd, [0.01, 0.02])) < 10.0
+
+
 def test_small_k_values_at_origin():
     dd = dirac.DiracDescriptor(weyl=V3, mass=0.4)
     w0 = np.arccos(dd.n)
@@ -303,54 +317,129 @@ def test_median_matches_numpy_bit_for_bit(values):
     assert np.float64(dirac._median(x)).tobytes() == np.median(x).tobytes()
 
 
-def test_probe_counts_optimizer_failures(monkeypatch):
-    real = dirac._levenberg_marquardt
-    calls = []
-
-    def flaky(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
-            raise np.linalg.LinAlgError("singular step")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dirac, "_levenberg_marquardt", flaky)
-    report = dirac.uniqueness_probe(dirac.probe_setup(seed=4, n_k_verify=25), n_seeds=5)
-    assert len(calls) == 5
-    assert report["optimizer_failures"] == 1
-    classes = (report["decoupled_endpoint"] + report["flip_endpoint"]
-               + report["dressed_family"] + report["off_family_hits"])
-    assert classes == report["converged_unitary"] <= report["trials"] - 1
-
-
-def test_probe_counts_non_finite_fits_as_failures(monkeypatch):
-    # A NaN residual compares False with the tolerance; it must not pass as converged.
-    monkeypatch.setattr(dirac, "_levenberg_marquardt", lambda *args: np.full(24, np.nan))
-    report = dirac.uniqueness_probe(dirac.probe_setup(seed=4, n_k_verify=25), n_seeds=3)
-    assert report["optimizer_failures"] == 3
-    assert report["converged_unitary"] == 0
-
-
 def _real_params(z):
     """Complex parameters as the solver's interleaved real and imaginary parts."""
     return np.stack([z.real, z.imag], axis=-1).ravel()
 
 
+def _optimizer_wave_vectors(variant, seed):
+    """W at the probe's number of optimizer wave-vectors, and their _residual_basis."""
+    shape = (dirac._N_K_OPTIMIZE, variant.dimension)
+    ks = np.random.default_rng(seed).uniform(-1.5, 1.5, size=shape)
+    return weyl.weyl_matrix(variant, ks), dirac._residual_basis(variant, ks)
+
+
+class _RiggedGenerator:
+    """The probe's generator with chosen entries of chosen trials' starts set to a value."""
+
+    def __init__(self, rng, rigs):
+        self.rng, self.rigs, self.trial = rng, rigs, 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def normal(self, **kwargs):
+        start = self.rng.normal(**kwargs)
+        entries, value = self.rigs.get(self.trial, ([], 0.0))
+        start[entries] = value
+        self.trial += 1
+        return start
+
+
+def _probe_with_evaluations(setup, n_seeds, monkeypatch):
+    """The probe's report, fits and per-trial evaluations, read from the batched solver."""
+    real, seen = dirac._levenberg_marquardt, []
+
+    def recorded(fun, x):
+        seen.append(real(fun, x))
+        return seen[-1]
+
+    monkeypatch.setattr(dirac, "_levenberg_marquardt", recorded)
+    report = dirac.uniqueness_probe(setup, n_seeds=n_seeds)
+    monkeypatch.undo()
+    assert len(seen) == 1  # one batched solve for every trial
+    return report, seen[0][0], seen[0][1]
+
+
+def test_probe_counts_optimizer_failures(monkeypatch):
+    # Trial 1 starts at q = 0 and X = 0, where the q and X columns of J vanish: its
+    # normal matrix is singular and the batched solve raises.  Only that trial fails;
+    # the others run as they do without it.
+    variant, rng, basis, ver = dirac.probe_setup(seed=4, n_k_verify=25)
+    state = rng.bit_generator.state
+    clean, clean_fits, clean_nfev = _probe_with_evaluations(
+        (variant, rng, basis, ver), 5, monkeypatch)
+    rng.bit_generator.state = state
+    rigged = _RiggedGenerator(rng, {1: ([2, 3] + list(range(8, 16)), 0.0)})
+    report, fits, nfev = _probe_with_evaluations((variant, rigged, basis, ver), 5, monkeypatch)
+    assert rigged.trial == 5
+    assert report["optimizer_failures"] == 1
+    classes = (report["decoupled_endpoint"] + report["flip_endpoint"]
+               + report["dressed_family"] + report["off_family_hits"])
+    assert classes == report["converged_unitary"] <= report["trials"] - 1
+    assert np.isnan(fits[1]).all() and nfev[1] == 1
+    others = [0, 2, 3, 4]
+    assert clean["optimizer_failures"] == 0
+    assert np.array_equal(nfev[others], clean_nfev[others])
+    assert np.allclose(fits[others], clean_fits[others], rtol=0.0, atol=1e-12)
+
+
+def test_non_finite_step_fails_only_its_trial():
+    _, basis = _optimizer_wave_vectors(V3, 35)
+    starts = np.random.default_rng(35).normal(size=(3, 24))
+    flags = np.array([True, False, True])
+
+    def fun(y, trials):
+        return dirac._residual_and_jacobian(y, basis, flags[trials])
+
+    clean_fits, clean_nfev = dirac._levenberg_marquardt(fun, starts)
+    starts[1, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        fits, nfev = dirac._levenberg_marquardt(fun, starts)
+    assert np.isnan(fits[1]).all() and nfev[1] == 1
+    assert np.array_equal(nfev[[0, 2]], clean_nfev[[0, 2]])
+    assert np.allclose(fits[[0, 2]], clean_fits[[0, 2]], rtol=0.0, atol=1e-12)
+
+
+def test_probe_counts_non_finite_fits_as_failures(monkeypatch):
+    # A NaN residual compares False with the tolerance; it must not pass as converged.
+    monkeypatch.setattr(dirac, "_levenberg_marquardt",
+                        lambda fun, x: (np.full(x.shape, np.nan), np.ones(len(x), dtype=int)))
+    report = dirac.uniqueness_probe(dirac.probe_setup(seed=4, n_k_verify=25), n_seeds=3)
+    assert report["optimizer_failures"] == 3
+    assert report["converged_unitary"] == 0
+
+
+def test_solve_fails_only_the_singular_systems():
+    rng = np.random.default_rng(5)
+    normal = rng.normal(size=(4, 3, 3))
+    normal[[1, 2], :, 0] = normal[[1, 2], 0, :] = 0.0
+    rhs = rng.normal(size=(4, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(normal, rhs[..., None])
+    step = dirac._solve(normal, rhs)
+    assert np.isnan(step[[1, 2]]).all()
+    for i in (0, 3):
+        assert np.array_equal(step[i], np.linalg.solve(normal[i], rhs[i]))
+
+
 @pytest.mark.parametrize("adjoint_first", [True, False])
 def test_residual_jacobian_matches_central_differences(adjoint_first):
     rng = np.random.default_rng(31)
-    ws = weyl.weyl_matrix(V3, rng.uniform(-1.5, 1.5, size=(12, 3)))
-    x = rng.normal(size=24)
-    res, jac = dirac._residual_and_jacobian(x, ws, adjoint_first)
-    assert res.shape == (12 * 32,) and jac.shape == (12 * 32, 24)
+    _, basis = _optimizer_wave_vectors(V3, 31)
+    flags = np.array([adjoint_first])
+    x = rng.normal(size=(1, 24))
+    res, jac_t = dirac._residual_and_jacobian(x, basis, flags)
+    assert res.shape == (1, 48) and jac_t.shape == (1, 24, 48)
 
     def residual(y):
-        return dirac._residual_and_jacobian(y, ws, adjoint_first)[0]
+        return dirac._residual_and_jacobian(y[None], basis, flags)[0][0]
 
     h = 1e-6
-    central = np.stack([(residual(x + e) - residual(x - e)) / (2 * h) for e in h * np.eye(24)],
-                       axis=1)
+    central = np.stack([(residual(x[0] + e) - residual(x[0] - e)) / (2 * h)
+                        for e in h * np.eye(24)])
     # Roundoff of the differences is about 1e-9 here, against entries of order 10.
-    assert maxabs(jac - central) <= 1e-7
+    assert maxabs(jac_t[0] - central) <= 1e-7
 
 
 def _hard_case(z, case):
@@ -363,41 +452,34 @@ def _hard_case(z, case):
 @pytest.mark.parametrize("case", ["random", "q=0", "r=0", "p=t=0"])
 @pytest.mark.parametrize("adjoint_first", [True, False])
 def test_block_jacobian_matches_einsum_oracle(adjoint_first, case):
+    # The 48-entry residual has the cost, gradient J^T f and normal matrix J^T J of
+    # the 16 entries per wave-vector, for a batch with both flags.
     rng = np.random.default_rng(41)
-    ws = weyl.weyl_matrix(V3, rng.uniform(-1.5, 1.5, size=(12, 3)))
-    for _ in range(5):
-        z = _hard_case(rng.normal(size=12) + 1j * rng.normal(size=12), case)
-        x = _real_params(z)
-        res, jac = dirac._residual_and_jacobian(x, ws, adjoint_first)
-        want_res, want_jac = residual_and_jacobian_einsum(x, ws, adjoint_first)
-        assert np.array_equal(res, want_res)
-        assert jac.shape == want_jac.shape == (12 * 32, 24)
-        assert maxabs(jac - want_jac) <= 1e-14 * maxabs(want_jac)
-        if case == "q=0":  # the X_ab columns vanish
-            assert not jac[:, 8:16].any()
-        if case == "r=0":  # the Y_ab columns vanish
-            assert not jac[:, 16:24].any()
+    ws, basis = _optimizer_wave_vectors(V3, 41)
+    x = np.stack([_real_params(_hard_case(rng.normal(size=12) + 1j * rng.normal(size=12), case))
+                  for _ in range(6)])
+    flags = np.array([adjoint_first, not adjoint_first] * 3)
+    res, jac_t = dirac._residual_and_jacobian(x, basis, flags)
+    assert res.shape == (6, 48) and jac_t.shape == (6, 24, 48)
+    for i in range(6):
+        want_res, want_jac = residual_and_jacobian_einsum(x[i], ws, flags[i])
+        assert want_jac.shape == (12 * 32, 24)
+        assert abs(res[i] @ res[i] - want_res @ want_res) <= 1e-13 * (want_res @ want_res)
+        grad = want_jac.T @ want_res
+        assert maxabs(jac_t[i] @ res[i] - grad) <= 1e-13 * maxabs(grad)
+        normal = want_jac.T @ want_jac
+        assert maxabs(jac_t[i] @ jac_t[i].T - normal) <= 1e-13 * maxabs(normal)
+    if case == "q=0":  # the X_ab columns vanish
+        assert not jac_t[:, 8:16].any()
+    if case == "r=0":  # the Y_ab columns vanish
+        assert not jac_t[:, 16:24].any()
 
 
-def test_probe_trajectory_is_pinned_at_seed_7():
+def test_probe_trajectory_is_pinned_at_seed_7(monkeypatch):
     # Per-trial residual evaluations and classes of `qca dirac-search --samples
-    # 8 --seed 7`; the masses are those of the einsum Jacobian, to 1e-10.
-    evaluations = []
-    real_lm, real_fun = dirac._levenberg_marquardt, dirac._residual_and_jacobian
-
-    def counted(*args):
-        evaluations[-1] += 1
-        return real_fun(*args)
-
-    def per_trial(*args):
-        evaluations.append(0)
-        return real_lm(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dirac, "_residual_and_jacobian", counted)
-        mp.setattr(dirac, "_levenberg_marquardt", per_trial)
-        report = dirac.uniqueness_probe(dirac.probe_setup(seed=7), n_seeds=8)
-    assert evaluations == [9, 9, 10, 16, 10, 8, 9, 8]
+    # 8 --seed 7`; the masses are those of the per-wave-vector residual, to 1e-10.
+    report, _, nfev = _probe_with_evaluations(dirac.probe_setup(seed=7), 8, monkeypatch)
+    assert nfev.tolist() == [9, 9, 10, 16, 10, 8, 9, 8]
     assert (report["optimizer_failures"], report["converged_unitary"]) == (0, 8)
     assert (report["decoupled_endpoint"], report["flip_endpoint"],
             report["dressed_family"], report["off_family_hits"]) == (1, 5, 2, 0)
@@ -411,11 +493,28 @@ def test_probe_trajectory_is_pinned_at_seed_7():
 ], ids=["3d-adjoint", "1d-plain"])
 def test_levenberg_marquardt_returns_to_the_family(variant, adjoint_first, block):
     rng = np.random.default_rng(33)
-    ws = weyl.weyl_matrix(variant, rng.uniform(-1.5, 1.5, size=(12, variant.dimension)))
+    ws, basis = _optimizer_wave_vectors(variant, 33)
     start = _real_params(_family_member(0.7, 0.25, 0.3, block)) + 0.05 * rng.normal(size=24)
-    assert maxabs(dirac._residual_and_jacobian(start, ws, adjoint_first)[0]) > 1e-2
-    fit = dirac._levenberg_marquardt(dirac._residual_and_jacobian, start, (ws, adjoint_first))
-    assert maxabs(dirac._residual_and_jacobian(fit, ws, adjoint_first)[0]) < 1e-12
+    assert maxabs(residual_and_jacobian_einsum(start, ws, adjoint_first)[0]) > 1e-2
+    fits, nfev = dirac._levenberg_marquardt(
+        lambda y, trials: dirac._residual_and_jacobian(y, basis, np.array([adjoint_first])),
+        start[None])
+    assert 1 < nfev[0] < dirac._MAX_NFEV
+    assert maxabs(residual_and_jacobian_einsum(fits[0], ws, adjoint_first)[0]) < 1e-12
+
+
+def test_batched_trials_match_trials_run_alone():
+    variant, rng, basis, _ = dirac.probe_setup(seed=7)
+    flags = rng.integers(0, 2, size=6).astype(bool)
+    starts = rng.normal(size=(6, 24))
+    fits, nfev = dirac._levenberg_marquardt(
+        lambda y, trials: dirac._residual_and_jacobian(y, basis, flags[trials]), starts)
+    for i in range(6):
+        fit, count = dirac._levenberg_marquardt(
+            lambda y, trials: dirac._residual_and_jacobian(y, basis, flags[i:i + 1]),
+            starts[i:i + 1])
+        assert count[0] == nfev[i]
+        assert np.allclose(fit[0], fits[i], rtol=0.0, atol=1e-12)
 
 
 def test_d1_decomposes_into_identical_pair():

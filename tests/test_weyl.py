@@ -245,6 +245,17 @@ def test_branch_point_guard():
         weyl.interpolating_hamiltonian(weyl.WeylVariant(1), [np.pi - 1e-8])
 
 
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_small_k_branch_point_guard(kind):
+    # theta = pi puts w0 = arccos u(0) at the logarithm's branch point, where f0 =
+    # w0 / sin w0 has no finite value; within 1e-6 of it the expansion raises too.
+    for theta in (np.pi, -np.pi, np.pi - 5e-7):
+        with pytest.raises(BranchPointError):
+            weyl.small_k_hamiltonian(weyl.WeylVariant(2, kind=kind, theta=theta), [0.01, 0.02])
+    variant = weyl.WeylVariant(2, kind=kind, theta=np.pi - 1e-3)
+    assert maxabs(weyl.small_k_hamiltonian(variant, [0.01, 0.02])) < 1e4
+
+
 def test_small_k_zero_at_origin():
     for v in ALL_VARIANTS:
         assert maxabs(weyl.small_k_hamiltonian(v, np.zeros(v.dimension))) < 1e-14
