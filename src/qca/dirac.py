@@ -173,6 +173,7 @@ def _residual_and_jacobian(x, basis, adjoint_first):
     cd = cd[..., _KEEP] * _WEIGHT[_KEEP]
     jac = np.moveaxis(np.stack([cd + cd_h, 1j * (cd_h - cd)], axis=1), 2, 0)
     res = _unitarity_defect(d)[..., _KEEP] * _WEIGHT[_KEEP]
+    # J^T in C order for any batch size: a strided one changes BLAS's sums with the batch.
     return (np.concatenate([res.real, res.imag], axis=-1),
             np.ascontiguousarray(np.concatenate([jac.real, jac.imag], -1)).reshape(-1, 24, 48))
 
