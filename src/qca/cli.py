@@ -9,13 +9,14 @@ byte for byte.
 import argparse
 import contextlib
 import functools
+import re
 import sys
 
 import numpy as np
 
 from . import catalog, dirac, evolution, fock, maxwell, serialize, weyl
 from .cayley import build_presentation, make_tiling
-from .errors import PacketBoundaryError, QcaError
+from .errors import QcaError
 
 
 @contextlib.contextmanager
@@ -151,8 +152,6 @@ _PACKET_KEYS = ("k0", "sigma", "x0", "branch")
 def _parse_packet(text, dimension):
     # Fields separated by ';' or by ',' when the comma precedes a new key,
     # so both "k0=0.2,0,0;sigma=0.05" and "k0=0.2,0,0,sigma=0.05" parse.
-    import re
-
     fields = {}
     for chunk in re.split(r";|,(?=\s*[A-Za-z_][A-Za-z0-9_]*\s*=)", text):
         if not chunk:
@@ -172,10 +171,8 @@ def _parse_packet(text, dimension):
     x0 = _parsed("packet x0", fields["x0"], lambda value: tuple(int(v) for v in value.split(",")))
     if len(x0) != dimension:
         raise QcaError(f"packet x0 needs {dimension} components, got {len(x0)}")
-    branch = fields.get("branch", "plus")
-    return evolution.WavePacketSpec(
-        center_k=tuple(k0), sigma_k=sigma, center_x=x0, branch=branch
-    )
+    return evolution.WavePacketSpec(center_k=tuple(k0), sigma_k=sigma, center_x=x0,
+                                    branch=fields.get("branch", "plus"))
 
 
 def _cmd_evolve(args):
@@ -187,22 +184,9 @@ def _cmd_evolve(args):
         raise QcaError("--steps must be positive")
     if args.record_every < 0:
         raise QcaError("--record-every must be non-negative")
-    # The state stays on the packet's modes; only the snapshot needs an
-    # inverse FFT.
     plan, hat = evolution.packet_modes(spec, descriptor, lattice)
     basis = descriptor.presentation.basis_matrix
-    stride = args.record_every or max(1, args.steps // 50)
-    rows = []
-    recorded = 0
-    period = np.asarray(lattice.sizes, dtype=float)
-
-    def unwrapped(moments, near):
-        # Means lie in [0, n); their image within n/2 of `near` does not jump by n.
-        return moments.means - period * np.round((moments.means - near) / period)
-
-    # Every target is opened (an existing file truncated) before any stepping,
-    # so one that cannot take its output costs no work, and closed on every
-    # exit, an interrupted stepping loop included.
+    # Every target is opened before any stepping (a bad one costs no work) and closed on any exit.
     with contextlib.ExitStack() as files:
         with _naming_errors("--snapshot", args.snapshot):
             stream = args.snapshot and files.enter_context(contextlib.closing(
@@ -210,45 +194,23 @@ def _cmd_evolve(args):
         observables = args.observables and files.enter_context(
             _opened(args.observables, "--observables"))
         output = files.enter_context(_opened(args.output))
-
-        # The start is taken near x0, each record near the one before.
-        start = evolution.mode_moments(hat, plan.modes)
-        origin = position = unwrapped(start, np.asarray(spec.center_x, dtype=float))
-        while recorded < args.steps:
-            advance = min(stride, args.steps - recorded)
-            hat = plan.advance(hat, advance)
-            recorded += advance
-            moments = evolution.mode_moments(hat, plan.modes)
-            position = unwrapped(moments, position)
-            rows.append([recorded, moments.norm] + [float(v) for v in basis @ position])
+        run = evolution.run(plan, hat, args.steps, args.record_every, spec.center_x)
         if stream:
             with _naming_errors("--snapshot", args.snapshot):
-                for column, block in plan.modes.ifft_blocks(hat):
+                for column, block in plan.modes.ifft_blocks(run.hat):
                     stream.write(column, block)
         if observables:
-            d = descriptor.presentation.dimension
-            header = ["step", "norm"] + [f"x{j + 1}" for j in range(d)]
-            # The step prints as a float: "%.17g" of an integer below 2**53 is its "%d".
-            # An OSError left to the stack would be named --output, the target opened last.
+            # Named here: an OSError left to the stack would name --output, opened last.
             with _naming_errors("--observables", args.observables):
-                observables.writelines(serialize.csv_document(header, rows))
-
-        summary = {
-            "steps": args.steps,
-            "norm": moments.norm,
-            "packet": {"k0": list(spec.center_k), "sigma": spec.sigma_k,
-                       "x0": list(spec.center_x), "branch": spec.branch},
-        }
-        try:
-            evolution.check_seam(start, lattice.sizes)
-            evolution.check_seam(moments, lattice.sizes)
-            # The slope of the unwrapped trajectory: exact unless one record
-            # stride moves the packet by more than half a period.
-            summary["velocity"] = [float(v) for v in basis @ ((position - origin) / args.steps)]
-        except PacketBoundaryError as exc:
-            # The run itself is valid; only the velocity readout is not.
-            summary["velocity"] = None
-            summary["velocity_error"] = str(exc)
+                observables.writelines(serialize.csv_document(
+                    ["step", "norm"] + [f"x{j + 1}" for j in range(len(basis))],
+                    [[r.step, r.moments.norm, *(basis @ r.position)] for r in run.records[1:]]))
+        summary = {"steps": args.steps, "norm": run.records[-1].moments.norm,
+                   "packet": {"k0": list(spec.center_k), "sigma": spec.sigma_k,
+                              "x0": list(spec.center_x), "branch": spec.branch},
+                   "velocity": None if run.velocity is None else basis @ run.velocity}
+        if run.velocity is None:  # the run is valid; only its velocity readout is not
+            summary["velocity_error"] = run.velocity_error
         output.write(serialize.report_document(summary))
     return 0
 

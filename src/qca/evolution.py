@@ -66,7 +66,7 @@ class FieldState:
 def random_state(lattice, internal_dim, rng):
     shape = tuple(lattice.sizes) + (internal_dim,)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    amps /= np.linalg.norm(amps)
+    amps /= np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
     return FieldState(lattice=lattice, internal_dim=internal_dim, amplitudes=amps)
 
 
@@ -105,10 +105,10 @@ class Modes:
         self._neighbors = None
 
     def neighbors(self):
-        """Per axis j, the row of each held mode's neighbor k - e_j (mod n_j),
-        or -1 where that neighbor is not held; built on first use."""
+        """Row j: the row of each held mode's neighbor k - e_j (mod n_j), or -1
+        where that neighbor is not held; built on first use."""
         if self._neighbors is None:
-            self._neighbors, stride = [], self.count
+            neighbors, stride = [], self.count
             for n in self.sizes:
                 stride //= n
                 # The flat index of k - e_j: one stride back, or n - 1 forward at 0.
@@ -116,7 +116,8 @@ class Modes:
                 # With every mode held, a mode's row is its flat index.
                 rows = (flat if len(flat) == self.count
                         else np.searchsorted(self.index, flat) % len(flat))
-                self._neighbors.append(np.where(self.index[rows] == flat, rows, -1))
+                neighbors.append(np.where(self.index[rows] == flat, rows, -1))
+            self._neighbors = np.stack(neighbors)
         return self._neighbors
 
     def ifftn(self, hat):
@@ -377,8 +378,8 @@ def packet_modes(spec, descriptor, lattice):
         out=np.zeros(len(nv), dtype=complex), where=nv >= 1e-12,
     )
     amps = weight[:, None] * vecs
-    # Parseval: sum_x |psi(x)|^2 = sum_k |psi_hat(k)|^2 / N.
-    amps *= np.sqrt(plan.modes.count) / np.linalg.norm(amps)
+    # Parseval: sum_x |psi(x)|^2 = sum_k |psi_hat(k)|^2 / N; np.sum, not a BLAS dot (mode_moments).
+    amps *= np.sqrt(plan.modes.count) / np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
     return plan, amps
 
 
@@ -405,12 +406,13 @@ def mode_moments(hat, modes):
     = sum_k psi_hat(k)^dagger psi_hat(k - e_j) / N, where a neighbor k - e_j
     that is not held is empty.
     """
-    # The appended zero row is every neighbor that is not held (row -1);
-    # np.take gathers rows about twice as fast as fancy indexing.
-    padded = np.concatenate([hat, np.zeros((1, hat.shape[-1]))])
-    total = np.vdot(hat, hat).real / modes.count
-    z = np.asarray([np.vdot(hat, np.take(padded, rows, axis=0)) / modes.count
-                    for rows in modes.neighbors()]) / total
+    # The appended zero row is every neighbor that is not held (row -1); np.take
+    # gathers rows about twice as fast as fancy indexing.  np.sum's pairwise sums,
+    # unlike BLAS dots, keep their bits whatever the BLAS thread count.
+    near = np.take(np.concatenate([hat, np.zeros((1, hat.shape[-1]))]), modes.neighbors(), axis=0)
+    near *= hat.conj()
+    total = np.sum(hat.real ** 2 + hat.imag ** 2) / modes.count
+    z = np.sum(near.reshape(len(near), -1), axis=1) / modes.count / total
     means = (np.angle(z) % (2.0 * np.pi)) * np.asarray(modes.sizes) / (2.0 * np.pi)
     return Moments(float(np.sqrt(total)), means, np.abs(z))
 
@@ -423,9 +425,45 @@ def check_seam(moments, sizes):
         circ_std = np.sqrt(max(-2.0 * np.log(r), 0.0)) * sizes[j] / (2.0 * np.pi)
         # Written so that a NaN resultant fails the check.
         if not 3.0 * circ_std < sizes[j] / 2.0:
-            raise PacketBoundaryError(
-                f"packet mass within 3 sigma of the wrap seam on axis {j}"
-            )
+            raise PacketBoundaryError(f"packet mass within 3 sigma of the wrap seam on axis {j}")
+
+
+class Record(NamedTuple):
+    """A run after `step` steps: its moments and its unwrapped means."""
+
+    step: int
+    moments: Moments
+    position: np.ndarray
+
+
+class Run(NamedTuple):
+    """A run's last mode amplitudes, records, and velocity per step or None and why."""
+
+    hat: np.ndarray
+    records: list
+    velocity: np.ndarray
+    velocity_error: str = None
+
+
+def run(plan, hat, steps, stride, x0):
+    """Advance plan's mode amplitudes `hat` by `steps` >= 1 steps, recording at step
+    0, every `stride` (0: steps // 50, at least 1) steps and the last.  Each record
+    unwraps its means in [0, n) to their image within n/2 of the record before (step
+    0: of the site x0).  The velocity (group coordinates) is the slope, exact unless
+    a stride moves the packet over n/2; None if check_seam refuses the first or last."""
+    period = np.asarray(plan.modes.sizes, dtype=float)
+    stride, position, records = stride or max(1, steps // 50), np.asarray(x0, dtype=float), []
+    for step in [0, *range(stride, steps, stride), steps]:
+        hat = plan.advance(hat, step - records[-1].step) if step else hat
+        moments = mode_moments(hat, plan.modes)
+        position = moments.means - period * np.round((moments.means - position) / period)
+        records.append(Record(step, moments, position))
+    try:
+        for record in (records[0], records[-1]):
+            check_seam(record.moments, plan.modes.sizes)
+    except PacketBoundaryError as exc:
+        return Run(hat, records, None, str(exc))
+    return Run(hat, records, (position - records[0].position) / steps)
 
 
 def tile_descriptor(descriptor, tiling):

@@ -628,22 +628,72 @@ def test_probe_imports_neither_scipy_nor_numpy_ma(tmp_path):
     assert json.loads((tmp_path / "probe.json").read_text())["dressed_family"] == 2
 
 
-def test_probe_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # Fresh interpreters with one and two OpenBLAS threads write the same report.
+def _files_under_blas_threads(tmp_path, argvs):
+    """The files that `argvs` write under "{out}", as {name: bytes}: once from a fresh
+    interpreter with one OpenBLAS thread and once from one with two."""
     src = str(Path(qca.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    reports = []
+    runs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"probe-{threads}.json"
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
         script = ("from qca.cli import main\n"
-                  f"assert main(['dirac-search', '--samples', '8', '--seed', '7', '--output', "
-                  f"{str(out)!r}]) == 0\n")
+                  f"for argv in {[[a.format(out=out) for a in argv] for argv in argvs]!r}:\n"
+                  "    assert main(argv) == 0, argv\n")
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["dressed_family"] == 2
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    return runs
+
+
+def test_probe_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    one, two = _files_under_blas_threads(tmp_path, [
+        ["dirac-search", "--samples", "8", "--seed", "7", "--output", "{out}/probe.json"]])
+    assert one == two
+    assert json.loads(one["probe.json"])["dressed_family"] == 2
+
+
+# The wide packet of the CI evolve step: 48% of the 48^3 modes, one record per step.
+EVOLVE_WIDE = ["evolve", "--builtin", "bcc-a-plus", "--sizes", "48,48,48", "--steps", "24",
+               "--record-every", "1", "--packet", "k0=0.2,0,0;sigma=0.29;x0=24,24,24"]
+
+
+def test_evolve_dispersion_and_tile_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The packet's norm and the moments sum over 50,843 modes, long enough for
+    # a BLAS dot to split across threads; the tile residual normalizes a random state.
+    one, two = _files_under_blas_threads(tmp_path, [
+        EVOLVE_WIDE + ["--snapshot", "{out}/wide.qcas", "--observables", "{out}/wide.csv",
+                       "--output", "{out}/wide.json"],
+        ["dispersion", "--variant", "bcc-a-plus", "--grid", "12", "--output", "{out}/disp.csv"],
+        ["tile", "--builtin", "bcc-a-plus", "--basis", "2,0,0;0,2,0;0,0,2", "--sizes", "4,4,4",
+         "--output", "{out}/tile.json"],
+    ])
+    assert sorted(one) == ["disp.csv", "tile.json", "wide.csv", "wide.json", "wide.qcas"]
+    for name in one:
+        assert one[name] == two[name], name
+
+
+def test_evolve_writes_the_records_of_evolution_run(capsys, tmp_path):
+    # The observables are the run's records after step 0 in Cartesian
+    # coordinates, and the report's velocity is the run's, bit for bit.
+    obs = tmp_path / "obs.csv"
+    argv = ["evolve", "--builtin", "dirac-3d", "--mass", "0.5", "--sizes", "24,24,24",
+            "--steps", "12", "--record-every", "5",
+            "--packet", "k0=0.4,0.1,0;sigma=0.25;x0=3,5,7", "--observables", str(obs)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    descriptor = catalog.build_descriptor("dirac-3d", mass=0.5)
+    lattice = evolution.LatticeSpec(descriptor.presentation, (24, 24, 24))
+    spec = evolution.WavePacketSpec((0.4, 0.1, 0.0), 0.25, (3, 5, 7))
+    run = evolution.run(*evolution.packet_modes(spec, descriptor, lattice), 12, 5, (3, 5, 7))
+    basis = descriptor.presentation.basis_matrix
+    rows = [[float(v) for v in line.split(",")] for line in obs.read_text().splitlines()[1:]]
+    assert rows == [[r.step, r.moments.norm, *(basis @ r.position)] for r in run.records[1:]]
+    assert [row[0] for row in rows] == [5, 10, 12]
+    doc = json.loads(out)
+    assert doc["norm"] == run.records[-1].moments.norm
+    assert doc["velocity"] == list(basis @ run.velocity)
 
 
 @pytest.mark.parametrize("dt", ["0", "-1e-3", "nan", "inf"])

@@ -201,6 +201,59 @@ def test_packet_boundary_error_on_nan_resultant():
         evolution.check_seam(moments, (32,))
 
 
+def _packet(name, sizes, k0, sigma, x0, mass=None):
+    d = catalog.build_descriptor(name, mass=mass)
+    lattice = evolution.LatticeSpec(presentation=d.presentation, sizes=sizes)
+    return evolution.packet_modes(evolution.WavePacketSpec(k0, sigma, x0), d, lattice)
+
+
+@pytest.mark.parametrize("steps, stride, recorded", [
+    (10, 3, [0, 3, 6, 9, 10]),
+    (9, 3, [0, 3, 6, 9]),
+    (10, 20, [0, 10]),
+    (10, 0, list(range(11))),  # the default stride, steps // 50, is at least 1
+    (120, 0, list(range(0, 121, 2))),
+])
+def test_run_records_every_stride_and_the_last_step(steps, stride, recorded):
+    plan, hat = _packet("dirac-3d", (16, 16, 16), (0.3, 0.1, 0.0), 0.2, (8, 8, 8), mass=0.4)
+    run = evolution.run(plan, hat, steps, stride, (8, 8, 8))
+    assert [r.step for r in run.records] == recorded
+    for record in run.records:
+        # Each record reads the amplitudes advanced to its step, up to the
+        # roundoff of advancing in strides rather than at once.
+        want = evolution.mode_moments(plan.advance(hat, record.step), plan.modes)
+        assert record.moments.norm == pytest.approx(want.norm, abs=1e-13)
+        assert np.allclose(record.moments.resultants, want.resultants, atol=1e-12)
+        # The position is the mean's image a whole number of periods away.
+        periods = (record.position - want.means) / 16
+        assert np.allclose(periods, np.round(periods), atol=1e-10)
+    assert maxabs(run.hat - plan.advance(hat, steps)) < 1e-12
+
+
+def test_run_unwraps_each_record_near_the_one_before():
+    # Unit speed along axis 1 of 64 sites for 50 steps: the raw means wrap at
+    # the seam, the recorded positions do not, and the velocity is their slope.
+    plan, hat = _packet("weyl-1d", (64,), (0.5,), 0.1, (0,))
+    run = evolution.run(plan, hat, 50, 1, (0,))
+    positions = np.array([r.position[0] for r in run.records])
+    assert np.all(np.abs(np.diff(positions) - 1.0) < 0.05)
+    assert run.records[0].position[0] == pytest.approx(0.0, abs=1e-9)
+    assert positions[-1] == pytest.approx(50.0, abs=0.5)
+    assert run.velocity_error is None
+    assert run.velocity[0] == (positions[-1] - positions[0]) / 50
+    assert run.velocity[0] == pytest.approx(1.0, abs=0.01)
+
+
+def test_run_at_the_seam_has_no_velocity():
+    # sigma_k = 0.03 on 32 sites: the packet is as wide as the torus.
+    plan, hat = _packet("weyl-1d", (32,), (0.7,), 0.03, (16,))
+    run = evolution.run(plan, hat, 4, 0, (16,))
+    assert run.velocity is None
+    assert run.velocity_error == "packet mass within 3 sigma of the wrap seam on axis 0"
+    assert [r.step for r in run.records] == [0, 1, 2, 3, 4]
+    assert abs(run.records[-1].moments.norm - 1.0) < 1e-12
+
+
 def test_plane_wave_interpolation_consistency():
     # exp(-i H_I t) at integer t equals t automaton steps on a lattice mode.
     d = catalog.build_descriptor("bcc-a-plus")
