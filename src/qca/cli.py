@@ -139,8 +139,8 @@ def _cmd_dispersion(args):
                       + [f"v{j + 1}" for j in range(d)])
             fh.writelines(serialize.csv_document(header, rows))
         else:
-            fh.write(serialize.report_document({"variant": args.variant, "dirac": bool(args.dirac),
-                                                "grid": args.grid, "rows": rows}))
+            fh.writelines(serialize.report_pieces({"variant": args.variant, "dirac": bool(args.dirac),
+                                                   "grid": args.grid, "rows": rows}))
     return 0
 
 
@@ -197,8 +197,8 @@ def _cmd_evolve(args):
         run = evolution.run(plan, hat, args.steps, args.record_every, spec.center_x)
         if stream:
             with _naming_errors("--snapshot", args.snapshot):
-                for column, block in plan.modes.ifft_blocks(run.hat):
-                    stream.write(column, block)
+                for slab in plan.modes.ifft_slabs(run.hat):
+                    stream.write(slab)
         if observables:
             # Named here: an OSError left to the stack would name --output, opened last.
             with _naming_errors("--observables", args.observables):

@@ -9,8 +9,8 @@ snapshot scale with that support: the envelope is evaluated on a per-axis
 box, the per-mode matrices gather per-axis phase tables, the branch
 projectors and powers (SpectralPlan) are in closed form for the Weyl and
 Dirac rules, and the snapshot, a run's only inverse FFT, transforms in place
-only the lines the held modes reach, the last pass in blocks of columns that
-stream to the file.  Moments are read off mode amplitudes.
+only the lines the held modes reach, axis 0 first, then per slab of axis-0
+rows that streams to the file.  Moments are read off mode amplitudes.
 A dense FieldState holds every site; the direct-sum oracle and tilings act on it.
 """
 
@@ -29,7 +29,7 @@ from .pauli import maxabs
 _CLOSED_FORM_TOL = 1e-12
 _BRANCH_GAP = 1e-8
 _CHUNK = 4096  # modes per pass of SpectralPlan's decomposition
-_BLOCK_BYTES = 1 << 20  # per column block of Modes.ifft_blocks' last pass
+_BLOCK_BYTES = 1 << 20  # per slab of Modes.ifft_slabs
 
 
 @dataclass(frozen=True)
@@ -121,46 +121,44 @@ class Modes:
         return self._neighbors
 
     def ifftn(self, hat):
-        """Lattice amplitudes: np.fft.ifftn, bit for bit, of the grid holding
-        `hat` on these modes and zero elsewhere.  Like ifftn it transforms one
-        axis at a time from the last, but only the lines that reach a mode: in
-        place unless on a view of `hat`, and full lines with no scatter."""
-        (_, out), = self.ifft_blocks(hat, self.count)  # one block: every column
-        return out.reshape(self.sizes + hat.shape[-1:])
+        """Lattice amplitudes: the slabs of ifft_slabs, as one slab."""
+        slab, = self.ifft_slabs(hat, self.sizes[0])
+        return slab
 
-    def ifft_blocks(self, hat, columns=None):
-        """ifftn(hat) in blocks: yields (c, block), where block holds the sites
-        of trailing-grid columns c, c + 1, ... (the C-order index over every
-        axis but the first), shape (sizes[0], columns, s).  Only the last pass,
-        over axis 0, runs per block, so the whole grid is never held; by
-        default a block is about _BLOCK_BYTES, or every column when every
-        axis-0 row holds a mode."""
-        keys, out = self.index, hat[:, None, :]
-        for n in reversed(self.sizes[1:]):
-            # The keys are sorted, so a new line starts wherever keys // n grows.
-            line = keys // n
-            new = np.diff(line, prepend=-1) > 0
-            shape = (int(np.count_nonzero(new)), n) + out.shape[1:]
-            if len(keys) == shape[0] * n:
-                grid = out.reshape(shape)
-            else:
-                grid = np.zeros(shape, dtype=complex)
-                grid.reshape((-1,) + out.shape[1:])[(np.cumsum(new) - 1) * n + keys % n] = out
+    def ifft_slabs(self, hat, rows=None):
+        """np.fft.ifftn, bit for bit, of the grid holding `hat` on these modes and
+        zero elsewhere, over axes (d - 1, ..., 0): numpy takes the last listed axis
+        first, so axis 0 is transformed first, then 1, 2, ...  Yields C-contiguous
+        slabs of `rows` axis-0 rows (by default about _BLOCK_BYTES), shape (rows,
+        *sizes[1:], s): one span each of the snapshot body.  Each pass transforms
+        only the lines that reach a mode, full lines reshaped and not scattered, in
+        place unless on a view of `hat`; the axis-0 pass runs once, the others per slab."""
+        s, tail, passes, keys = hat.shape[-1], self.count, [], self.index
+        for n in self.sizes:
+            # Axis j's lines are the distinct C-order indices over axes j + 1, ...
+            tail //= n
+            lines, inverse = np.unique(keys % tail, return_inverse=True)
+            flat = keys // tail * len(lines) + inverse  # (coordinate j, line) of each key
+            passes.append((n, len(lines), None if len(keys) == n * len(lines) else flat))
+            keys = lines
+
+        def transform(part, n, lines, flat):
+            """(A, lines before, s) -> (A * n, lines, s)."""
+            grid = part
+            if flat is not None:
+                grid = np.zeros((len(part), n * lines, s), dtype=complex)
+                grid[:, flat] = part
+            grid = grid.reshape(len(part), n, lines, s)
             grid = np.fft.ifft(grid, axis=1, out=None if np.may_share_memory(grid, hat) else grid)
-            keys, out = line[new], grid.reshape(shape[0], -1, hat.shape[-1])
-        # Axis 0: keys are the occupied rows, out their (len(keys), C, s) lines.
-        # With every row occupied, out is the whole grid: blocks would save no
-        # memory, only add copies and writes, so one block transforms it in place.
-        n = self.sizes[0]
-        columns = columns or (out.shape[1] if len(keys) == n else
-                              max(1, _BLOCK_BYTES // (16 * n * hat.shape[-1])))
-        for lo in range(0, out.shape[1], columns):
-            part = grid = out[:, lo:lo + columns]
-            if len(keys) < n:
-                grid = np.zeros((n,) + part.shape[1:], dtype=complex)
-                grid[keys] = part
-            yield lo, np.fft.ifft(grid, axis=0,
-                                  out=None if np.may_share_memory(grid, hat) else grid)
+            return grid.reshape(-1, lines, s)
+
+        first = transform(hat[None], *passes[0])  # (sizes[0], lines, s)
+        rows = rows or max(1, _BLOCK_BYTES // (16 * s * (self.count // self.sizes[0])))
+        for lo in range(0, self.sizes[0], rows):
+            slab = first[lo:lo + rows]
+            for n, lines, flat in passes[1:]:
+                slab = transform(slab, n, lines, flat)
+            yield slab.reshape((-1,) + self.sizes[1:] + (s,))
 
 
 def mode_matrices(descriptor, modes):

@@ -31,38 +31,31 @@ def _format_float(x):
     return format(float(x), ".17g")
 
 
-_PIECE_ROWS = 1024  # table rows per piece of a CSV document
+_PIECE_ROWS = 1024  # table rows per piece of a CSV or JSON document
 
 
-def _distinct_text(table, what):
-    """The "%.17g" text of each distinct bit pattern of the table (unlike a float
-    unique, the int64 view keeps -0.0 apart) and each C-order cell's index into it.
-    A non-finite value raises FloatingPointError, not a usage error."""
-    flat = np.ascontiguousarray(table, dtype=float).ravel()
-    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    values = bits.view(float)
-    if not np.isfinite(values).all():
+def _table_pieces(table, row, sep, what):
+    """The table's rows, each `row` % its cells as "%.17g" prints them, joined by
+    `sep`, as an iterator over pieces of _PIECE_ROWS rows (each piece after the
+    first starts with `sep`).  Each distinct bit pattern is formatted once (unlike
+    a float unique, the int64 view keeps -0.0 apart).  The table is checked whole
+    on the call: a non-finite cell raises FloatingPointError, not a usage error,
+    before any piece is written."""
+    table = np.ascontiguousarray(table, dtype=float)
+    bits, inverse = np.unique(table.ravel().view(np.int64), return_inverse=True)
+    if not np.isfinite(bits.view(float)).all():
         raise FloatingPointError(f"non-finite value in a {what}")
-    return np.array(["%.17g" % v for v in values.tolist()], dtype=object), inverse
-
-
-def format_table(template, table):
-    """template % the table's values in C order as "%.17g" prints them, formatting each
-    distinct bit pattern once."""
-    text, inverse = _distinct_text(table, "report")
-    return template % tuple(text[inverse].tolist())
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    cells = inverse.reshape(table.shape)
+    return (((sep if i else "") + sep.join([row] * len(block))) % tuple(text[block.ravel()].tolist())
+            for i, block in enumerate(np.split(cells, range(_PIECE_ROWS, len(cells), _PIECE_ROWS))))
 
 
 def csv_document(header, table):
     """The header line, then one line per table row, as an iterator over pieces of
-    _PIECE_ROWS rows.  The table is deduplicated and checked whole on the call, so
-    a non-finite cell raises before any piece is written."""
-    text, inverse = _distinct_text(table, "table")
-    cells = inverse.reshape(-1, len(header))
+    _PIECE_ROWS rows, checked on the call as _table_pieces is."""
     line = ",".join(["%s"] * len(header)) + "\n"
-    pieces = ((line * len(block)) % tuple(text[block.ravel()].tolist())
-              for block in np.split(cells, range(_PIECE_ROWS, len(cells), _PIECE_ROWS)))
-    return itertools.chain([",".join(header) + "\n"], pieces)
+    return itertools.chain([",".join(header) + "\n"], _table_pieces(table, line, "", "table"))
 
 
 # JSON string escapes: quote, backslash and every control character.
@@ -89,26 +82,37 @@ def dumps_stable(obj):
         return _format_float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return f"[{_format_float(obj.real)},{_format_float(obj.imag)}]"
-    if isinstance(obj, np.ndarray):
-        if obj.ndim != 2 or obj.dtype.kind != "f":
-            return dumps_stable(obj.tolist())
-        row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
-        return format_table("[" + ",".join([row] * obj.shape[0]) + "]", obj)
-    if isinstance(obj, dict):
-        items = ",".join(
-            f'{dumps_stable(str(key))}:{dumps_stable(value)}'
-            for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        )
-        return "{" + items + "}"
+    if isinstance(obj, np.ndarray) and (obj.ndim != 2 or obj.dtype.kind != "f"):
+        return dumps_stable(obj.tolist())
+    if isinstance(obj, (np.ndarray, dict)):
+        return "".join(_json_pieces(obj))
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps_stable(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _json_pieces(obj):
+    """dumps_stable(obj) as an iterator over pieces, each 2-D float array, alone or
+    in an object, in pieces of _PIECE_ROWS rows; every array is deduplicated and
+    checked on the call."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
+        return itertools.chain(["["], _table_pieces(obj, row, ",", "report"), ["]"])
+    if not isinstance(obj, dict):
+        return [dumps_stable(obj)]
+    parts = [["{"]]
+    for i, (key, value) in enumerate(sorted(obj.items(), key=lambda kv: str(kv[0]))):
+        parts += [[("," if i else "") + dumps_stable(str(key)) + ":"], _json_pieces(value)]
+    return itertools.chain.from_iterable(parts + [["}"]])
+
+
+def report_pieces(payload):
+    """report_document(payload) as an iterator over pieces, as _json_pieces gives them."""
+    return itertools.chain(_json_pieces({"schema_version": SCHEMA_VERSION, **payload}), ["\n"])
+
+
 def report_document(payload):
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(payload)
-    return dumps_stable(doc) + "\n"
+    return "".join(report_pieces(payload))
 
 
 def _matrix_to_json(m):
@@ -247,34 +251,30 @@ def _snapshot_header(sizes, internal_dim, time):
 
 
 class SnapshotStream:
-    """The snapshot layout written block by block, so that the lattice is never
-    held whole: the header on opening (a pipe fails there: it cannot seek),
-    then each block of Modes.ifft_blocks, row by row, at its offsets.  Only the
-    last row brings the file to its declared length, so a stream cut short
-    leaves one that load_snapshot rejects."""
+    """The snapshot layout written slab by slab, so that the lattice is never
+    held whole: the header on opening, then each slab of Modes.ifft_slabs in
+    order, one write each.  The snapshot is a file that load_snapshot reads
+    back, so a target that cannot seek (a pipe) is refused on opening.  Only
+    the last slab brings the file to its declared length, so a stream cut
+    short leaves one that load_snapshot rejects."""
 
     def __init__(self, path, sizes, internal_dim, time):
-        header = _snapshot_header(sizes, internal_dim, time)
-        self._start, self._site = len(header), 16 * internal_dim
-        self._row = self._site * math.prod(sizes[1:])  # bytes per axis-0 row
         self._fh = open(path, "wb", buffering=0)
         try:
-            self._pwrite(header, 0)
+            if not self._fh.seekable():
+                raise OSError(errno.ESPIPE, os.strerror(errno.ESPIPE))
+            self._write(_snapshot_header(sizes, internal_dim, time))
         except OSError:
             self.close()
             raise
 
-    def _pwrite(self, data, offset):
-        if os.pwrite(self._fh.fileno(), data, offset) != memoryview(data).nbytes:
+    def _write(self, data):
+        if os.write(self._fh.fileno(), data) != memoryview(data).nbytes:
             raise OSError(errno.EIO, "short write to the snapshot")
 
-    def write(self, column, block):
-        """Write the (sizes[0], columns, s) block whose first column is `column`."""
-        block = np.ascontiguousarray(block, dtype="<c16")
-        if block[0].nbytes == self._row:  # every column: one span of the file
-            block = block.reshape(1, -1)
-        for i, row in enumerate(block):
-            self._pwrite(row, self._start + i * self._row + column * self._site)
+    def write(self, slab):
+        """Append the next slab of axis-0 rows, shape (rows, *sizes[1:], s)."""
+        self._write(np.ascontiguousarray(slab, dtype="<c16"))
 
     def close(self):
         self._fh.close()

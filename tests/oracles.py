@@ -73,11 +73,10 @@ def save_snapshot(state, path):
 
 
 def stream_snapshot(state, path):
-    """A dense state's snapshot, written by serialize.SnapshotStream as one
-    block that spans every column."""
+    """A dense state's snapshot, written by serialize.SnapshotStream as one slab."""
     stream = serialize.SnapshotStream(path, state.lattice.sizes, state.internal_dim, state.time)
     with contextlib.closing(stream):
-        stream.write(0, state.amplitudes.reshape(state.lattice.sizes[0], -1, state.internal_dim))
+        stream.write(state.amplitudes)
 
 
 def residual_and_jacobian_einsum(params_real, ws, adjoint_first):

@@ -438,23 +438,24 @@ def test_dispersion_rejects_bad_mass_before_opening_output(capsys, tmp_path):
 
 
 def test_evolve_snapshot_cut_short_is_rejected_on_load(capsys, tmp_path, monkeypatch):
-    # 40-column blocks split the 256 columns of 16^3 into 7 blocks; the disk
-    # fills at the first write of the second block (the header and 16 rows before it).
-    monkeypatch.setattr(evolution, "_BLOCK_BYTES", 16 * 16 * 2 * 40)
-    pwrite, calls = os.pwrite, []
+    # A 16^3 x 2 row is 8 KiB: 3-row slabs split the 16 rows into 6 slabs, and
+    # the disk fills at the third write after the header's.
+    monkeypatch.setattr(evolution, "_BLOCK_BYTES", 16 * 16 * 2 * 16 * 3)
+    write, calls = os.write, []
 
-    def full_disk(fd, data, offset):
-        calls.append(offset)
-        if len(calls) > 1 + 16:
+    def full_disk(fd, data):
+        calls.append(memoryview(data).nbytes)
+        if len(calls) > 1 + 2:
             raise OSError(28, "No space left on device")
-        return pwrite(fd, data, offset)
-    monkeypatch.setattr(serialize.os, "pwrite", full_disk)
+        return write(fd, data)
+    monkeypatch.setattr(serialize.os, "write", full_disk)
     snap = tmp_path / "out.qcas"
     code, out, err = _run(capsys, EVOLVE_16 + ["--snapshot", str(snap)])
     assert code == 2
     assert out == ""
     assert "--snapshot" in err and "No space left" in err
-    assert len(calls) == 1 + 16 + 1
+    assert calls == [36, 3 * 8192, 3 * 8192, 3 * 8192]
+    assert snap.stat().st_size == 36 + 2 * 3 * 8192
     with pytest.raises(ValueError, match="its header declares"):
         serialize.load_snapshot(snap, build_presentation("bcc_3d"))
 
@@ -476,9 +477,9 @@ def test_evolve_closes_snapshot_when_stepping_fails(tmp_path, monkeypatch):
 
 def test_evolve_snapshot_never_holds_the_lattice(tmp_path):
     # The 64^3 x 4 lattice is a 16 MiB snapshot body; the stream holds the
-    # pass-2 intermediate (the packet's occupied axis-0 rows, 14 of 64 at
-    # sigma = 0.06) and one block, about 6 MiB traced in all; the whole
-    # lattice, built at once, traces about 20 MiB.
+    # axis-0 pass over the packet's lines (139 of 4,096 at sigma = 0.06, 0.5 MiB)
+    # and one slab, about 3.5 MiB traced in all; the whole lattice, built at
+    # once, traces about 20 MiB.
     argv = ["evolve", "--builtin", "dirac-3d", "--mass", "0.5", "--sizes", "64,64,64",
             "--steps", "100", "--record-every", "100",
             "--packet", "k0=0.3,0,0;sigma=0.06;x0=32,32,32",
@@ -492,6 +493,50 @@ def test_evolve_snapshot_never_holds_the_lattice(tmp_path):
     body = 64 ** 3 * 4 * 16
     assert (tmp_path / "out.qcas").stat().st_size == 36 + body
     assert peak <= body / 2, peak / 2 ** 20
+
+
+def test_evolve_snapshot_memory_is_bounded_by_the_packet_support(tmp_path):
+    # The 48^3 x 4 body is 6.75 MiB; the sigma = 0.15 packet reaches 26 of the 48
+    # axis-0 rows and 503 of the 2,304 lines along axis 0.  The axis-0 pass holds
+    # those lines (1.5 MiB), then each slab of about 1 MiB of rows is finished and
+    # written: the snapshot raises the traced peak of the same run without it by
+    # about 1.6 MiB.  Holding the 26 rows whole (3.7 MiB) for a last axis-0 pass
+    # raises it by 3.2 MiB.
+    argv = ["evolve", "--builtin", "dirac-3d", "--mass", "0.5", "--sizes", "48,48,48",
+            "--steps", "10", "--record-every", "10",
+            "--packet", "k0=0.3,0,0;sigma=0.15;x0=24,24,24", "--output", os.devnull]
+    peaks = []
+    for extra in ([], [], ["--snapshot", str(tmp_path / "out.qcas")]):  # the first warms up
+        tracemalloc.start()
+        try:
+            assert main(argv + extra) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "out.qcas").stat().st_size == 36 + 48 ** 3 * 4 * 16
+    assert peaks[2] - peaks[1] <= 2.25 * 2 ** 20, (peaks[2] - peaks[1]) / 2 ** 20
+
+
+def test_evolve_and_dispersion_do_not_import_numpy_ma(tmp_path):
+    # A fresh interpreter: np.unique without return_inverse imports numpy.ma on
+    # its first call (8 ms), which this test session has loaded already.
+    runs = [EVOLVE_16 + ["--snapshot", str(tmp_path / "out.qcas"), "--output", os.devnull],
+            ["dispersion", "--variant", "bcc-a-plus", "--grid", "4", "--output", os.devnull],
+            ["dispersion", "--variant", "bcc-a-plus", "--grid", "4", "--emit", "json",
+             "--output", os.devnull]]
+    script = (
+        "import sys\n"
+        "from qca.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(qca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "out.qcas").stat().st_size == 36 + 16 ** 3 * 2 * 16
 
 
 def test_report_escapes_control_characters():

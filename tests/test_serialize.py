@@ -56,6 +56,26 @@ def test_csv_document_pieces_split_at_row_boundaries(monkeypatch, piece_rows, co
     assert "".join(pieces) == "a,b\n" + "".join("%.17g,%.17g\n" % tuple(r) for r in rows)
 
 
+@pytest.mark.parametrize("piece_rows", [1, 2, 3, 1024])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7])
+def test_report_pieces_split_a_table_at_row_boundaries(monkeypatch, piece_rows, count):
+    # A 2-D float array in the report streams in pieces of _PIECE_ROWS rows,
+    # between pieces "[" and "]"; the bytes are report_document's, which formats
+    # the same rows given as nested lists.
+    monkeypatch.setattr(serialize, "_PIECE_ROWS", piece_rows)
+    rows = np.arange(2.0 * count).reshape(count, 2) / 3.0
+    payload = {"grid": 4, "rows": rows, "variant": "weyl-1d"}
+    pieces = list(serialize.report_pieces(payload))
+    assert "".join(pieces) == serialize.report_document(payload)
+    assert "".join(pieces) == serialize.report_document(dict(payload, rows=rows.tolist()))
+    start = pieces.index("[")
+    table = pieces[start + 1:start + pieces[start:].index("]")]
+    lines = [piece.count("[") for piece in table]
+    assert sum(lines) == count
+    assert all(n == piece_rows for n in lines[:-1]) and lines[-1] <= piece_rows
+    assert all(piece.startswith(",") for piece in table[1:])
+
+
 @pytest.mark.parametrize("bad", [math.nan, NAN_NEGATIVE, math.inf, -math.inf],
                          ids=["nan", "-nan", "inf", "-inf"])
 def test_non_finite_table_cell_raises_on_the_call(bad):
@@ -64,6 +84,8 @@ def test_non_finite_table_cell_raises_on_the_call(bad):
     rows[-1, 1] = bad
     with pytest.raises(FloatingPointError, match="non-finite value in a table"):
         serialize.csv_document(["a", "b"], rows)
+    with pytest.raises(FloatingPointError, match="non-finite value in a report"):
+        serialize.report_pieces({"a": 1, "rows": rows})
 
 
 @given(_tables(FINITE))

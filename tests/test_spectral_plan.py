@@ -313,27 +313,38 @@ def test_plan_rejects_mismatched_amplitudes():
 
 
 def _assert_streams_as_saved(modes, hat, tmp_path):
-    """The snapshot SnapshotStream writes from Modes.ifft_blocks, with one column
-    per block, 3 (a ragged last block) or the default, is the reference
-    writer's (oracles.save_snapshot) byte for byte."""
+    """The snapshot SnapshotStream writes from Modes.ifft_slabs, with slabs of one
+    row, of 3 (a ragged last slab when 3 does not divide sizes[0]), of every row
+    or the default, is the reference writer's (oracles.save_snapshot) byte for
+    byte, one write per slab."""
     kind = {1: "line", 2: "square_2d", 3: "bcc_3d"}[len(modes.sizes)]
     lattice = evolution.LatticeSpec(build_presentation(kind), modes.sizes)
     save_snapshot(evolution.FieldState(lattice, hat.shape[-1], modes.ifftn(hat), 9),
                   tmp_path / "saved.qcas")
-    for columns in (1, 3, None):
+    for rows in (1, 3, modes.sizes[0], None):
         stream = serialize.SnapshotStream(tmp_path / "streamed.qcas", modes.sizes, hat.shape[-1], 9)
-        for column, block in modes.ifft_blocks(hat, columns):
-            stream.write(column, block)
+        slabs = list(modes.ifft_slabs(hat, rows))
+        for slab in slabs:
+            assert slab.flags.c_contiguous and slab.shape[1:] == modes.sizes[1:] + hat.shape[-1:]
+            stream.write(slab)
         stream.close()
         assert (tmp_path / "streamed.qcas").read_bytes() == (tmp_path / "saved.qcas").read_bytes()
+        if rows:
+            assert len(slabs) == -(-modes.sizes[0] // rows)
 
 
 def _scattered_ifftn(modes, hat):
-    """The reference inverse: the held modes scattered onto the grid, then ifftn."""
+    """The reference inverse: the held modes scattered onto the grid, then ifftn
+    over the axes in reverse order (numpy transforms the last listed axis first,
+    so axis 0 first).  It is within 1e-15 max|hat| of ifftn in numpy's default
+    order, which takes the last axis first."""
     grid = np.zeros((modes.count, hat.shape[-1]), dtype=complex)
     grid[modes.index] = hat
     grid = grid.reshape(modes.sizes + hat.shape[-1:])
-    return np.fft.ifftn(grid, axes=tuple(range(len(modes.sizes))))
+    out = np.fft.ifftn(grid, axes=tuple(reversed(range(len(modes.sizes)))))
+    default = np.fft.ifftn(grid, axes=tuple(range(len(modes.sizes))))
+    assert maxabs(out - default) <= 1e-15 * maxabs(hat)
+    return out
 
 
 @pytest.mark.parametrize("name,mass,sizes,k0,sigma", [
@@ -367,13 +378,13 @@ def test_pruned_ifftn_is_bit_identical_to_ifftn(name, mass, sizes, k0, sigma, tm
 def test_pruned_ifftn_full_grid_and_random_supports(sizes, s, tmp_path):
     # Every mode: each pass's lines are full, and the first pass's grid is a
     # view of hat, which must not be transformed in place.  Mixed: every mode
-    # whose next-to-last coordinate is 1; its first pass has full lines and
-    # its second does not (one mode per line).
+    # whose second coordinate is 1; its axis-0 pass has full lines and its
+    # axis-1 pass does not (one mode per line).
     rng = np.random.default_rng(6)
     count = int(np.prod(sizes))
     subset = np.sort(rng.choice(count, size=count // 4, replace=False))
     coords = np.unravel_index(np.arange(count), sizes)
-    mixed = np.flatnonzero(coords[-2] == 1) if len(sizes) > 1 else np.arange(count)
+    mixed = np.flatnonzero(coords[1] == 1) if len(sizes) > 1 else np.arange(count)
     for index in (None, subset, np.array([count - 1]), mixed):
         modes = evolution.Modes(sizes, index)
         hat = rng.normal(size=(len(modes.index), s)) + 1j * rng.normal(size=(len(modes.index), s))
@@ -383,15 +394,18 @@ def test_pruned_ifftn_full_grid_and_random_supports(sizes, s, tmp_path):
         assert same_bits(hat, before)
         assert same_bits(out, _scattered_ifftn(modes, hat))
         _assert_streams_as_saved(modes, hat, tmp_path)
+        assert same_bits(hat, before)
 
 
-def test_ifft_blocks_takes_one_block_when_every_row_is_held(monkeypatch):
-    # Blocks of one column by default; with every axis-0 row held, the grid is
-    # whole before the last pass, so it is transformed as one block.
-    monkeypatch.setattr(evolution, "_BLOCK_BYTES", 1)
+def test_ifft_slabs_take_about_block_bytes_of_rows(monkeypatch):
+    # A row of the (4, 5) x 2 grid is 160 bytes: a slab holds the rows that fit
+    # in _BLOCK_BYTES, at least one, and the last slab the rest.  The count does
+    # not depend on which rows hold a mode: every row, or one.
     hat = np.ones((4, 2), dtype=complex)
-    assert len(list(evolution.Modes((4, 5), np.arange(4) * 5).ifft_blocks(hat))) == 1
-    assert len(list(evolution.Modes((4, 5), np.arange(3) * 5).ifft_blocks(hat[:3]))) == 5
+    for block, rows in ((1, [1, 1, 1, 1]), (320, [2, 2]), (480, [3, 1]), (640, [4]), (1 << 20, [4])):
+        monkeypatch.setattr(evolution, "_BLOCK_BYTES", block)
+        for index in (np.arange(4) * 5, np.arange(4) + 5):
+            assert [len(slab) for slab in evolution.Modes((4, 5), index).ifft_slabs(hat)] == rows
 
 
 @pytest.mark.parametrize("name,mass,sizes", [
