@@ -101,8 +101,9 @@ def dirac_descriptor(dd):
     return AutomatonDescriptor(presentation=presentation, rule=rule, name=name)
 
 
-def dirac_variant_for(name, theta=0.0):
-    return weyl_mod.variant_by_name(_DIRAC_BASES[name], theta=theta)
+def builtin_variant(name, theta=0.0):
+    """The chiral variant of a registry name: its own, or the one a Dirac builtin couples."""
+    return weyl_mod.variant_by_name(_DIRAC_BASES.get(name, name), theta=theta)
 
 
 def build_descriptor(name, mass=None, theta=0.0):
@@ -110,11 +111,10 @@ def build_descriptor(name, mass=None, theta=0.0):
     if name in WEYL_NAMES:
         if mass is not None:
             raise ValueError("mass applies to dirac descriptors only")
-        return weyl_descriptor(weyl_mod.variant_by_name(name, theta=theta))
+        return weyl_descriptor(builtin_variant(name, theta))
     if name in DIRAC_NAMES:
-        base = dirac_variant_for(name, theta=theta)
         m = 0.1 if mass is None else float(mass)
-        return dirac_descriptor(dirac_mod.DiracDescriptor(weyl=base, mass=m))
+        return dirac_descriptor(dirac_mod.DiracDescriptor(builtin_variant(name, theta), m))
     raise ValueError(
         f"unknown descriptor {name!r}; choose from {sorted(WEYL_NAMES + DIRAC_NAMES)}"
     )

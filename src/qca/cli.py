@@ -11,6 +11,7 @@ import contextlib
 import functools
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,7 +51,10 @@ def _load_descriptor(args):
         return serialize.load_descriptor(args.descriptor)
     if not args.builtin:
         raise QcaError("pass --builtin NAME or --descriptor FILE")
-    return catalog.build_descriptor(args.builtin, mass=args.mass, theta=args.theta)
+    # The chiral variant first, so that an error names the flag it comes from.
+    _parsed("--theta", args.theta, lambda theta: catalog.builtin_variant(args.builtin, theta))
+    return _parsed("--mass", args.mass,
+                   lambda mass: catalog.build_descriptor(args.builtin, mass, args.theta))
 
 
 def _parsed(name, text, convert):
@@ -160,19 +164,23 @@ def _parse_packet(text, dimension):
         fields[key.strip()] = value.strip()
     unknown = set(fields) - set(_PACKET_KEYS)
     if unknown:
-        raise QcaError(f"packet spec has unknown keys {sorted(unknown)}; "
+        raise QcaError(f"--packet has unknown keys {sorted(unknown)}; "
                        f"known keys: {', '.join(_PACKET_KEYS)}")
     missing = {"k0", "sigma"} - set(fields)
     if missing:
-        raise QcaError(f"packet spec missing {sorted(missing)}")
+        raise QcaError(f"--packet is missing {sorted(missing)}")
     fields.setdefault("x0", ",".join(["0"] * dimension))
-    k0 = _parsed("packet k0", fields["k0"], lambda value: _parse_vector(value, dimension))
-    sigma = _parsed("packet sigma", fields["sigma"], float)
-    x0 = _parsed("packet x0", fields["x0"], lambda value: tuple(int(v) for v in value.split(",")))
+    k0 = _parsed("--packet k0", fields["k0"], lambda value: _parse_vector(value, dimension))
+    sigma = _parsed("--packet sigma", fields["sigma"], float)
+    x0 = _parsed("--packet x0", fields["x0"], lambda value: tuple(int(v) for v in value.split(",")))
     if len(x0) != dimension:
-        raise QcaError(f"packet x0 needs {dimension} components, got {len(x0)}")
-    return evolution.WavePacketSpec(center_k=tuple(k0), sigma_k=sigma, center_x=x0,
-                                    branch=fields.get("branch", "plus"))
+        raise QcaError(f"--packet x0: expected {dimension} components, got {len(x0)}")
+    # One field at a time into a valid spec, so that the spec's own check names the field.
+    spec = evolution.WavePacketSpec(center_k=(0.0,) * dimension, sigma_k=1.0, center_x=x0)
+    for key, field, value in (("k0", "center_k", tuple(k0)), ("sigma", "sigma_k", sigma),
+                              ("branch", "branch", fields.get("branch", "plus"))):
+        spec = _parsed(f"--packet {key}", {field: value}, lambda change: replace(spec, **change))
+    return spec
 
 
 def _cmd_evolve(args):
@@ -281,15 +289,16 @@ def _cmd_tile(args):
         "coarse_internal_dim": descriptor.internal_dim * tiling.index,
     }
     if args.sizes:
-        coarse = evolution.tile_descriptor(descriptor, tiling)
+        _parsed("--basis", tiling, evolution.regrouping_steps)
         lattice = _parsed("--sizes", args.sizes,
                           lambda text: _parse_lattice(text, descriptor.presentation))
         rng = np.random.default_rng(args.seed)
         state = evolution.random_state(lattice, descriptor.internal_dim, rng)
+        # With the basis checked, the regrouping fails only on a size the steps do not divide.
+        regrouped = _parsed("--sizes", state, lambda state: evolution.apply_tiling(state, tiling))
+        coarse = evolution.tile_descriptor(descriptor, tiling)
         fine = evolution.apply_tiling(evolution.step_direct(state, descriptor), tiling)
-        coarse_step = evolution.step_direct(
-            evolution.apply_tiling(state, tiling), coarse
-        )
+        coarse_step = evolution.step_direct(regrouped, coarse)
         payload["commuting_square_residual"] = float(
             np.max(np.abs(fine.amplitudes - coarse_step.amplitudes))
         )

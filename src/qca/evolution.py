@@ -173,34 +173,20 @@ def _apply(mats, hat):
 
 
 class SpectralPlan:
-    """The per-mode step of one automaton on the held modes of one torus,
-    built once per run.
+    """The spectral decomposition of a stack of per-mode steps, built once per run.
 
-    `index` selects the modes as in Modes; every mode is held when it is
-    omitted.  Each mode carries one small unitary W, stored flat with
-    c = Re tr W / s and sin(w) = ||W - cI||_F / sqrt(s).  When W + W^dagger
-    = 2cI on every held mode, as for every Weyl and Dirac rule, W^n has the
-    closed form cos(nw) I + sin(nw)/sin(w) (W - cI) and costs the same for
-    any n, and so have the branch projectors.  Any other rule (tilings, user
-    descriptors) takes batched matrix powers, cached once per step count,
-    and eig projectors.
+    `mats` is the (M, s, s) stack, one small unitary W per mode; `modes` the
+    Modes it is held on (mode_matrices(descriptor, modes)), or None for a
+    bare stack.  Each W is stored flat with c = Re tr W / s and sin(w) =
+    ||W - cI||_F / sqrt(s).  When W + W^dagger = 2cI on every mode, as for
+    every Weyl and Dirac rule, W^n has the closed form cos(nw) I +
+    sin(nw)/sin(w) (W - cI) and costs the same for any n, and so have the
+    branch projectors.  Any other rule (tilings, user descriptors) takes
+    batched matrix powers, cached once per step count, and eig projectors.
     """
 
-    def __init__(self, descriptor, sizes, index=None):
-        if len(sizes) != descriptor.presentation.dimension:
-            raise ValueError("one size per lattice dimension required")
-        self.modes = Modes(sizes, index)
-        self._decompose(mode_matrices(descriptor, self.modes))
-
-    @classmethod
-    def of_stack(cls, mats):
-        """The decomposition of a given stack of s x s matrices, with no modes."""
-        plan = cls.__new__(cls)
-        plan._decompose(mats)
-        return plan
-
-    def _decompose(self, mats):
-        self.mats, s = mats, mats.shape[-1]
+    def __init__(self, mats, modes=None):
+        self.mats, self.modes, s = mats, modes, mats.shape[-1]
         d = [mats[:, i, i] for i in range(s)]
         # A diagonal sum from 0, in pairs at s = 4 as np.trace adds them there, so
         # that Weyl and Dirac plans keep its bits; np.trace runs ~8x slower here.
@@ -353,11 +339,12 @@ def packet_modes(spec, descriptor, lattice):
     index = np.ravel_multi_index(np.ix_(*box), sizes)[keep]
     if index.size == 0:
         raise ValueError(f"sigma_k={spec.sigma_k} is narrower than the mode grid")
-    plan = SpectralPlan(descriptor, sizes, index)
+    modes = Modes(sizes, index)
+    plan = SpectralPlan(mode_matrices(descriptor, modes), modes)
 
     # Rows: the reference's branch projector times each unit vector, in closed
     # form where A(theta0) passes the test (every Weyl and Dirac rule), else by eig.
-    reference = SpectralPlan.of_stack(assemble(descriptor.rule, pres, theta0).reshape(1, s, s))
+    reference = SpectralPlan(assemble(descriptor.rule, pres, theta0).reshape(1, s, s))
     cols = reference.project(np.eye(s), spec.branch)
     # The first column of (nearly) largest norm: symmetric rules tie exactly,
     # and roundoff must not pick the reference.
@@ -377,7 +364,7 @@ def packet_modes(spec, descriptor, lattice):
     )
     amps = weight[:, None] * vecs
     # Parseval: sum_x |psi(x)|^2 = sum_k |psi_hat(k)|^2 / N; np.sum, not a BLAS dot (mode_moments).
-    amps *= np.sqrt(plan.modes.count) / np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
+    amps *= np.sqrt(modes.count) / np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
     return plan, amps
 
 
@@ -493,21 +480,22 @@ def tile_descriptor(descriptor, tiling):
     return AutomatonDescriptor(presentation=coarse_pres, rule=rule, name=name)
 
 
-def _coarse_sizes(tiling, sizes):
+def regrouping_steps(tiling):
+    """Per-axis steps of a diagonal sublattice basis, the only kind states regroup onto."""
     basis = tiling.basis_matrix
     if np.any(basis != np.diag(np.diag(basis))):
         raise ValueError("state regrouping supports diagonal sublattice bases only")
-    diag = np.abs(np.diag(basis))
-    for n, step in zip(sizes, diag):
-        if n % step:
-            raise ValueError(f"lattice size {n} not divisible by sublattice step {step}")
-    return tuple(int(n // step) for n, step in zip(sizes, diag)), diag
+    return np.abs(np.diag(basis))
 
 
 def apply_tiling(state, tiling):
     """Regroup amplitudes onto the sublattice: (coset, spinor) -> internal."""
     sizes = state.lattice.sizes
-    coarse_sizes, diag = _coarse_sizes(tiling, sizes)
+    diag = regrouping_steps(tiling)
+    for n, step in zip(sizes, diag):
+        if n % step:
+            raise ValueError(f"lattice size {n} not divisible by sublattice step {step}")
+    coarse_sizes = tuple(int(n // step) for n, step in zip(sizes, diag))
     s = state.internal_dim
     r = tiling.index
     coarse_pres = tiling.coarse_presentation

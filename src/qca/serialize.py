@@ -68,42 +68,38 @@ _ESCAPES.update({ord(ch): esc for ch, esc in (
 
 def dumps_stable(obj):
     """Deterministic JSON with fixed float formatting and sorted keys."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return '"' + obj.translate(_ESCAPES) + '"'
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_format_float(obj.real)},{_format_float(obj.imag)}]"
-    if isinstance(obj, np.ndarray) and (obj.ndim != 2 or obj.dtype.kind != "f"):
-        return dumps_stable(obj.tolist())
-    if isinstance(obj, (np.ndarray, dict)):
-        return "".join(_json_pieces(obj))
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_stable(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    return "".join(_json_pieces(obj))
 
 
 def _json_pieces(obj):
-    """dumps_stable(obj) as an iterator over pieces, each 2-D float array, alone or
-    in an object, in pieces of _PIECE_ROWS rows; every array is deduplicated and
-    checked on the call."""
+    """dumps_stable(obj) as an iterable of pieces, 2-D float arrays in pieces of _PIECE_ROWS
+    rows; each value is formatted, and each table deduplicated and checked, on the call."""
+    if obj is None or isinstance(obj, bool):
+        return ["null" if obj is None else "true" if obj else "false"]
+    if isinstance(obj, str):
+        return ['"' + obj.translate(_ESCAPES) + '"']
+    if isinstance(obj, (int, np.integer)):
+        return [str(int(obj))]
+    if isinstance(obj, (float, np.floating)):
+        return [_format_float(obj)]
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [f"[{_format_float(obj.real)},{_format_float(obj.imag)}]"]
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
         row = "[" + ",".join(["%s"] * obj.shape[1]) + "]"
         return itertools.chain(["["], _table_pieces(obj, row, ",", "report"), ["]"])
-    if not isinstance(obj, dict):
-        return [dumps_stable(obj)]
-    parts = [["{"]]
-    for i, (key, value) in enumerate(sorted(obj.items(), key=lambda kv: str(kv[0]))):
-        parts += [[("," if i else "") + dumps_stable(str(key)) + ":"], _json_pieces(value)]
-    return itertools.chain.from_iterable(parts + [["}"]])
+    if isinstance(obj, np.ndarray):
+        return _json_pieces(obj.tolist())
+    if isinstance(obj, dict):
+        brackets, items = "{}", [(dumps_stable(str(key)) + ":", value) for key, value
+                                 in sorted(obj.items(), key=lambda kv: str(kv[0]))]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [("", value) for value in obj]
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    parts = [[brackets[0]]]
+    for i, (key, value) in enumerate(items):
+        parts += [[("," if i else "") + key], _json_pieces(value)]
+    return itertools.chain.from_iterable(parts + [[brackets[1]]])
 
 
 def report_pieces(payload):

@@ -56,9 +56,15 @@ def packet_velocity(before, after, steps):
     return lattice.presentation.basis_matrix @ (delta / steps)
 
 
+def every_mode_plan(descriptor, sizes):
+    """The SpectralPlan of the descriptor's step on every mode of the grid `sizes`."""
+    modes = evolution.Modes(sizes)
+    return evolution.SpectralPlan(evolution.mode_matrices(descriptor, modes), modes)
+
+
 def spectral_steps(state, descriptor, steps):
     """A dense state after `steps` steps of the every-mode SpectralPlan."""
-    plan = evolution.SpectralPlan(descriptor, state.lattice.sizes)
+    plan = every_mode_plan(descriptor, state.lattice.sizes)
     hat = np.fft.fftn(state.amplitudes, axes=tuple(range(len(plan.modes.sizes))))
     out = plan.advance(hat.reshape(-1, state.internal_dim), steps)
     return replace(state, amplitudes=plan.modes.ifftn(out), time=state.time + steps)

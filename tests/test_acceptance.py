@@ -129,7 +129,7 @@ def test_criterion_03_dispersion_identities():
         for mass in (0.1, 0.5):
             descriptor = catalog.build_descriptor(dim_name, mass=mass)
             dd = dirac.DiracDescriptor(
-                weyl=catalog.dirac_variant_for(dim_name), mass=mass
+                weyl=catalog.builtin_variant(dim_name), mass=mass
             )
             ks = _sample_zone(descriptor.presentation, 1000, seed=302)
             mats = _assemble_at(descriptor, ks)
@@ -205,7 +205,7 @@ def test_criterion_05_interpolating_hamiltonian():
     for dim in (1, 2, 3):
         for mass in (0.1, 0.5):
             dd = dirac.DiracDescriptor(
-                weyl=catalog.dirac_variant_for(f"dirac-{dim}d"), mass=mass
+                weyl=catalog.builtin_variant(f"dirac-{dim}d"), mass=mass
             )
             for _ in range(40):
                 k = rng.uniform(-1.4, 1.4, size=dim)
@@ -268,7 +268,7 @@ def test_criterion_06_relativistic_limit_scaling():
         slopes[name] = np.polyfit(np.log(magnitudes), np.log(gaps), 1)[0]
     for dim in (1, 2, 3):
         dd = dirac.DiracDescriptor(
-            weyl=catalog.dirac_variant_for(f"dirac-{dim}d"), mass=0.1
+            weyl=catalog.builtin_variant(f"dirac-{dim}d"), mass=0.1
         )
         direction = GENERIC_DIRECTION[dim]
         gaps = [
@@ -299,7 +299,7 @@ def test_criterion_06_relativistic_limit_scaling():
     for dim in (1, 2, 3):
         m = 0.1
         dd = dirac.DiracDescriptor(
-            weyl=catalog.dirac_variant_for(f"dirac-{dim}d"), mass=m
+            weyl=catalog.builtin_variant(f"dirac-{dim}d"), mass=m
         )
         w0 = np.arccos(dd.n)
         f0 = w0 / np.sin(w0)

@@ -12,7 +12,7 @@ from qca.pauli import dagger
 
 from oracles import residual_and_jacobian_einsum, same_bits
 
-DIRAC_VARIANTS = tuple(catalog.dirac_variant_for(f"dirac-{d}d") for d in (1, 2, 3))
+DIRAC_VARIANTS = tuple(catalog.builtin_variant(f"dirac-{d}d") for d in (1, 2, 3))
 WEYL_CASES = tuple(weyl.named_variants().values()) + (weyl.WeylVariant(2, theta=0.3),)
 # (variant, mass): mass None is the chiral walk itself.
 CASES = [(v, None) for v in WEYL_CASES] + [(v, 0.1) for v in DIRAC_VARIANTS]

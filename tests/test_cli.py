@@ -812,6 +812,35 @@ def test_non_finite_theta_is_usage_error(capsys, argv):
     assert "theta must be finite" in err
 
 
+EVOLVE_8 = ["evolve", "--builtin", "bcc-a-plus", "--sizes", "8,8,8", "--steps", "1", "--packet"]
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["validate", "--builtin", "weyl-1d", "--mass", "0.2"], "--mass",
+     "mass applies to dirac descriptors only"),
+    (["validate", "--builtin", "dirac-3d", "--mass", "2"], "--mass", "mass must lie in [0, 1]"),
+    (["validate", "--builtin", "weyl-1d", "--theta", "0.3"], "--theta",
+     "theta applies to the two-dimensional variants only"),
+    (["evolve", "--builtin", "dirac-3d", "--mass", "2", "--sizes", "8,8,8", "--steps", "1",
+      "--packet", "k0=0,0,0;sigma=0.2"], "--mass", "mass must lie in [0, 1]"),
+    (["tile", "--builtin", "weyl-1d", "--theta", "0.3", "--basis", "2"], "--theta",
+     "theta applies to the two-dimensional variants only"),
+    (EVOLVE_8 + ["k0=nan,0,0;sigma=0.2"], "--packet k0", "center_k must be finite"),
+    (EVOLVE_8 + ["k0=0.2,0,0;sigma=inf"], "--packet sigma", "sigma_k must be positive and finite"),
+    (EVOLVE_8 + ["k0=0.2,0,0;sigma=0.2;branch=up"], "--packet branch",
+     "branch must be 'plus' or 'minus'"),
+    (["tile", "--builtin", "weyl-1d", "--basis", "2", "--sizes", "15"], "--sizes",
+     "lattice size 15 not divisible by sublattice step 2"),
+    (["tile", "--builtin", "weyl-2d", "--basis", "1,1;1,-1", "--sizes", "8,8"], "--basis",
+     "state regrouping supports diagonal sublattice bases only"),
+])
+def test_descriptor_packet_and_regrouping_errors_name_their_flag(capsys, argv, flag, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag}: {message}\n"
+
+
 @pytest.mark.parametrize("fill, message", [
     ("-1", "--fill must be non-negative"),
     ("3", "--fill cannot exceed --modes"),

@@ -9,8 +9,8 @@ from qca.cayley import build_presentation, make_tiling
 from qca.errors import PacketBoundaryError, ZoneLeakError
 from qca.pauli import maxabs, principal_phase
 
-from oracles import (identity_descriptor, lattice_moments, packet_velocity, spectral_steps,
-                     stream_snapshot)
+from oracles import (every_mode_plan, identity_descriptor, lattice_moments, packet_velocity,
+                     spectral_steps, stream_snapshot)
 
 
 def _rand_state(descriptor, sizes, seed=0):
@@ -30,7 +30,7 @@ def test_identity_rule_is_identity():
 
 
 def test_zero_steps_is_identity():
-    plan = evolution.SpectralPlan(catalog.build_descriptor("weyl-1d"), (8,))
+    plan = every_mode_plan(catalog.build_descriptor("weyl-1d"), (8,))
     hat = np.random.default_rng(0).normal(size=(8, 2)) + 0j
     out = plan.advance(hat, 0)
     assert np.array_equal(out, hat)
@@ -107,7 +107,7 @@ def test_dimension_mismatch_errors():
     d1 = catalog.build_descriptor("weyl-1d")
     d2 = catalog.build_descriptor("weyl-2d")
     with pytest.raises(ValueError):
-        evolution.SpectralPlan(d2, (8,))
+        every_mode_plan(d2, (8,))
     with pytest.raises(ValueError):
         evolution.step_direct(_rand_state(d1, (8,)), d2)
 

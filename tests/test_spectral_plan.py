@@ -16,7 +16,7 @@ from qca.cayley import build_presentation, make_tiling
 from qca.errors import ZoneLeakError
 from qca.pauli import maxabs
 
-from oracles import lattice_moments, same_bits, save_snapshot, spectral_steps
+from oracles import every_mode_plan, lattice_moments, same_bits, save_snapshot, spectral_steps
 
 CHECKPOINTS = (1, 65, 10_000)
 # The closed form and step_direct each round once per step at most; 10^4
@@ -94,14 +94,14 @@ def _assert_matches_direct(state, descriptor):
 )
 def test_plan_matches_direct(name, mass, sizes, closed_form):
     descriptor = _descriptor(name, mass)
-    plan = evolution.SpectralPlan(descriptor, sizes)
+    plan = every_mode_plan(descriptor, sizes)
     assert plan.closed_form is closed_form
     _assert_matches_direct(_state(descriptor, sizes, seed=1), descriptor)
 
 
 def test_dirac_modes_are_doubly_degenerate():
     descriptor = _descriptor("dirac-3d", 0.3)
-    plan = evolution.SpectralPlan(descriptor, (6, 6, 6))
+    plan = every_mode_plan(descriptor, (6, 6, 6))
     phases = np.sort(np.angle(np.linalg.eigvals(plan.mats.reshape(-1, 4, 4))), axis=-1)
     assert maxabs(phases[:, 1] - phases[:, 0]) < 1e-12
     assert maxabs(phases[:, 3] - phases[:, 2]) < 1e-12
@@ -112,7 +112,7 @@ def test_band_touching_mode():
     # theta = 0 of the massless walk: W = I, sin(w) = 0 up to roundoff, and the
     # closed form's sin(nw)/sin(w) takes its limit n c^(n-1).
     descriptor = _descriptor("weyl-1d")
-    plan = evolution.SpectralPlan(descriptor, (16,))
+    plan = every_mode_plan(descriptor, (16,))
     assert plan.sin[0] < 1e-15 and abs(plan.cos[0] - 1.0) < 1e-15
     state = _state(descriptor, (16,), seed=2)
     flat = np.broadcast_to(state.amplitudes.mean(axis=0), state.amplitudes.shape)
@@ -121,7 +121,7 @@ def test_band_touching_mode():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_exact_limit_at_plus_minus_identity(sign):
-    plan = evolution.SpectralPlan(_constant_rule(sign * np.eye(2, dtype=complex)), (8,))
+    plan = every_mode_plan(_constant_rule(sign * np.eye(2, dtype=complex)), (8,))
     assert np.all(plan.sin == 0.0)
     hat = np.random.default_rng(3).normal(size=(8, 2)) + 0j
     for n in CHECKPOINTS:
@@ -157,7 +157,7 @@ def test_conjugated_rules_match_direct(name, seed):
     base = _descriptor(name)
     descriptor = _conjugated(base, _random_unitary(base.internal_dim, seed))
     sizes = (16,) if base.presentation.dimension == 1 else (4, 4)
-    assert evolution.SpectralPlan(descriptor, sizes).closed_form
+    assert every_mode_plan(descriptor, sizes).closed_form
     _assert_matches_direct(_state(descriptor, sizes, seed=seed), descriptor)
 
 
@@ -264,7 +264,7 @@ def _qr_projector(matrix, branch):
 def test_batched_projector_matches_per_mode(name, mass, branch):
     descriptor = _descriptor(name, mass)
     sizes = (8,) if descriptor.presentation.dimension == 1 else (6, 6, 6)
-    plan = evolution.SpectralPlan(descriptor, sizes)
+    plan = every_mode_plan(descriptor, sizes)
     s = descriptor.internal_dim
     mats = plan.mats.reshape(-1, s, s)
     vals = np.linalg.eigvals(mats)
@@ -284,7 +284,7 @@ def test_band_touching_projector_is_whole_space():
     noise = 1e-16 * np.array([[1.0, 2.0 - 1.0j], [-2.0 - 1.0j, -1.0]])
     vec = np.array([0.6, -0.8j])
     for mat in (np.eye(2) + 1j * noise, np.eye(2) - 1j * noise):
-        plan = evolution.SpectralPlan(_constant_rule(mat), (4,))
+        plan = every_mode_plan(_constant_rule(mat), (4,))
         assert plan.closed_form
         for branch in ("plus", "minus"):
             assert np.array_equal(plan.project(vec, branch), np.broadcast_to(vec, (4, 2)))
@@ -305,7 +305,7 @@ def test_packet_modes_rejects_packet_narrower_than_the_mode_grid():
 
 
 def test_plan_rejects_mismatched_amplitudes():
-    plan = evolution.SpectralPlan(_descriptor("weyl-1d"), (16,))
+    plan = every_mode_plan(_descriptor("weyl-1d"), (16,))
     with pytest.raises(ValueError):
         plan.advance(np.zeros((8, 2), dtype=complex), 1)
     with pytest.raises(ValueError):
@@ -441,11 +441,11 @@ def test_plan_decomposition_matches_trace_and_norm(s):
     rng = np.random.default_rng(11 + s)
     stacks = [_random_stack(rng, 5000, s)]
     if s in (2, 4):
-        stacks.append(evolution.SpectralPlan(_descriptor("bcc-a-plus" if s == 2 else "dirac-3d",
-                                                         None if s == 2 else 0.3), (18, 17, 16)).mats)
+        stacks.append(every_mode_plan(_descriptor("bcc-a-plus" if s == 2 else "dirac-3d",
+                                                  None if s == 2 else 0.3), (18, 17, 16)).mats)
     eps = np.finfo(float).eps
     for mats in stacks:
-        plan = evolution.SpectralPlan.of_stack(mats)
+        plan = evolution.SpectralPlan(mats)
         cos = np.trace(mats, axis1=1, axis2=2).real / s
         shifted = mats - cos[:, None, None] * np.eye(s)
         sin = np.linalg.norm(shifted, axis=(1, 2)) / np.sqrt(s)
@@ -501,7 +501,7 @@ def test_closed_form_projectors_match_eig(name, mass, branch, monkeypatch):
     # Even sizes hold k = 0 and the theta_j = -pi zone faces; every Weyl and
     # massless Dirac grid below holds a W = I and a W = -I mode.
     sizes = {1: (16,), 2: (8, 8), 3: (6, 6, 6)}[descriptor.presentation.dimension]
-    plan = evolution.SpectralPlan(descriptor, sizes)
+    plan = every_mode_plan(descriptor, sizes)
     touching = plan.sin < 1e-8
     assert plan.closed_form and (mass not in (None, 0.0) or touching.sum() >= 2)
     calls = _counting_eig(monkeypatch)
@@ -542,7 +542,7 @@ def test_scalar_modes_keep_their_whole_space():
         presentation=_descriptor("weyl-1d").presentation,
         rule=TransitionRule(entries={"h": np.eye(2, dtype=complex)}, internal_dim=2),
     )
-    plan = evolution.SpectralPlan(descriptor, (8,))
+    plan = every_mode_plan(descriptor, (8,))
     assert plan.closed_form
     vec = np.array([0.3 - 0.4j, 1e-300])
     for branch in ("plus", "minus"):
@@ -552,7 +552,7 @@ def test_scalar_modes_keep_their_whole_space():
 
 def test_tiled_rule_projectors_take_eig(monkeypatch):
     descriptor = _descriptor("weyl-1d-x2")
-    plan = evolution.SpectralPlan(descriptor, (8,))
+    plan = every_mode_plan(descriptor, (8,))
     assert not plan.closed_form
     vec = np.random.default_rng(8).normal(size=plan.mats.shape[-1]) + 0j
     calls = _counting_eig(monkeypatch)
@@ -588,7 +588,7 @@ def test_tiled_plans_match_direct_and_eig(name, basis, mass, coarse, branch, see
     base = catalog.build_descriptor(name, mass=mass if name.startswith("dirac") else None)
     descriptor = evolution.tile_descriptor(base, make_tiling(base.presentation, basis))
     sizes = (coarse,) * base.presentation.dimension
-    plan = evolution.SpectralPlan(descriptor, sizes)
+    plan = every_mode_plan(descriptor, sizes)
     assert not plan.closed_form
     state = _state(descriptor, sizes, seed=seed)
     hat = np.fft.fftn(state.amplitudes, axes=tuple(range(len(sizes))))
